@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 7 and Appendix C). Results are printed in the
    paper's layout; EXPERIMENTS.md records paper-vs-measured values.
+   Performance of the shipped scheduler is measured by perfbench/, not
+   here.
 
    Usage:
      dune exec bench/main.exe                 -- all sections, default scale
      dune exec bench/main.exe -- --scale smoke
      dune exec bench/main.exe -- --only table1,fig5
-     dune exec bench/main.exe -- --timing     -- Bechamel stage timings
      dune exec bench/main.exe -- --list       -- list section ids
 
    Sweeps are shared between sections (Table 1, Table 6, Table 7 and
@@ -16,24 +17,16 @@
 let scale = ref Datasets.Default
 let seed = ref 1
 let only : string list ref = ref []
-let timing = ref false
 let list_sections = ref false
-let compare_baseline : string option ref = ref None
-let cost_tol = ref 0.05
-let perf_tol = ref 0.6
 let jobs = ref (Par.default_jobs ())
-let jobs_sweep : int list ref = ref []
-let speedup_floor : float option ref = ref None
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--scale smoke|default|full] [--seed N] [--only id,id,...] \
-     [--timing] [--list] [--compare BASELINE.json] [--cost-tol FRAC] [--perf-tol FRAC] \
-     [--jobs N] [--jobs-sweep N,N,...] [--speedup-floor X]";
+    "usage: main.exe [--scale smoke|default|full] [--seed N] [--only id,id,...] [--list] \
+     [--jobs N]";
   exit 2
 
 let parse_args () =
-  let float_arg s r = match float_of_string_opt s with Some v -> r := v | None -> usage () in
   let rec go = function
     | [] -> ()
     | "--scale" :: s :: rest ->
@@ -47,34 +40,12 @@ let parse_args () =
     | "--only" :: s :: rest ->
       only := String.split_on_char ',' s;
       go rest
-    | "--timing" :: rest ->
-      timing := true;
-      go rest
     | "--list" :: rest ->
       list_sections := true;
-      go rest
-    | "--compare" :: path :: rest ->
-      compare_baseline := Some path;
-      go rest
-    | "--cost-tol" :: s :: rest ->
-      float_arg s cost_tol;
-      go rest
-    | "--perf-tol" :: s :: rest ->
-      float_arg s perf_tol;
       go rest
     | "--jobs" :: s :: rest ->
       (match int_of_string_opt s with
        | Some n when n >= 1 -> jobs := n
-       | _ -> usage ());
-      go rest
-    | "--jobs-sweep" :: s :: rest ->
-      let parsed = List.map int_of_string_opt (String.split_on_char ',' s) in
-      if List.exists (function Some n -> n < 1 | None -> true) parsed then usage ();
-      jobs_sweep := List.filter_map Fun.id parsed;
-      go rest
-    | "--speedup-floor" :: s :: rest ->
-      (match float_of_string_opt s with
-       | Some v when v > 0.0 -> speedup_floor := Some v
        | _ -> usage ());
       go rest
     | _ -> usage ()
@@ -191,9 +162,7 @@ let runs key =
       key.p key.g key.l key.delta
       (List.length d.Datasets.instances);
     (* One task per instance. Results come back in instance order, so
-       every aggregation below is independent of the jobs count; the
-       lazy DAG caches are forced before the DAGs cross domains. *)
-    List.iter (fun inst -> Dag.warm_caches inst.Datasets.dag) d.Datasets.instances;
+       every aggregation below is independent of the jobs count. *)
     let result =
       Par.map
         (fun inst ->
@@ -357,7 +326,6 @@ let table3 () =
 let init_wins () =
   let d = dataset "training" in
   let base = bench_limits () in
-  List.iter (fun inst -> Dag.warm_caches inst.Datasets.dag) d.Datasets.instances;
   List.concat
   @@ Par.map
     (fun inst ->
@@ -758,525 +726,6 @@ let ablations () =
     (Statistics.geometric_mean (List.map (fun (a, b) -> r b a) strat_rows))
 
 (* ------------------------------------------------------------------ *)
-(* Local-search engine benchmark: the read-only delta + worklist HC
-   against the apply/rollback sweep engine it replaced, on the same
-   instance with the same evaluation budget.                           *)
-
-let ls_start_schedule rng dag p =
-  let level = Dag.wavefronts dag in
-  let proc = Array.init (Dag.n dag) (fun _ -> Rng.int rng p) in
-  Schedule.of_assignment dag ~proc ~step:level
-
-(* Sub-second differential check, part of the CI tier: on small fixed
-   instances the worklist engine must terminate in a local minimum at
-   least as cheap as the reference sweep engine's (both engines use the
-   same neighbourhood and first-improvement rule, so with an ample
-   budget each ends in a genuine local minimum; the worklist's visiting
-   order may find a different — never worse on these instances — one). *)
-let ls_smoke () =
-  header "Local-search smoke check: worklist+delta vs reference engine";
-  let rng = Rng.create !seed in
-  let cases =
-    [
-      ("chain", Finegrained.spmv (Sparse_matrix.random rng ~n:10 ~q:0.2), 4, 3, 5);
-      ("exp", Finegrained.exp (Sparse_matrix.random rng ~n:8 ~q:0.25) ~k:2, 4, 2, 3);
-      ("cg", Finegrained.cg (Sparse_matrix.random rng ~n:6 ~q:0.3) ~k:2, 8, 1, 2);
-    ]
-  in
-  List.iter
-    (fun (name, dag, p, g, l) ->
-      let m = Machine.uniform ~p ~g ~l in
-      let s = ls_start_schedule rng dag p in
-      let _, st_wl = Hc.improve ~check:true m s in
-      let _, st_ref = Hc.improve_reference ~check:true m s in
-      Printf.printf "%-8s n=%-5d worklist=%-8d reference=%-8d evals %d vs %d\n" name
-        (Dag.n dag) st_wl.Hc.final_cost st_ref.Hc.final_cost st_wl.Hc.moves_evaluated
-        st_ref.Hc.moves_evaluated;
-      if st_wl.Hc.final_cost > st_ref.Hc.final_cost then
-        failwith
-          (Printf.sprintf
-             "ls_smoke: worklist engine ended worse than the reference on %s (%d > %d)"
-             name st_wl.Hc.final_cost st_ref.Hc.final_cost))
-    cases;
-  print_endline "ls_smoke: OK (worklist local minima never worse than reference)"
-
-let ls_eval_budget () =
-  match !scale with
-  | Datasets.Smoke -> 60_000
-  | Datasets.Default -> 250_000
-  | Datasets.Full -> 1_000_000
-
-(* Moves-evaluated/sec microbenchmark on a >= 10k-node instance, plus an
-   end-to-end pipeline wall time; emits BENCH_localsearch.json. *)
-let localsearch () =
-  header "Local-search engine microbenchmark (delta/worklist vs apply/rollback)";
-  let rng = Rng.create !seed in
-  let dag =
-    Finegrained.generate_sized rng ~family:Finegrained.Exp ~shape:Finegrained.Wide
-      ~target:12_000
-  in
-  let n = Dag.n dag in
-  let m = Machine.uniform ~p:8 ~g:3 ~l:5 in
-  let init = Bspg.schedule m dag in
-  let evals = ls_eval_budget () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Both engines are deterministic on a fixed start schedule, so
-     repetitions re-measure the same work; alternating them makes slow
-     drifts of the host machine hit both evenly. Rates come from the
-     summed times. *)
-  let reps =
-    match !scale with Datasets.Smoke -> 1 | Datasets.Default -> 2 | Datasets.Full -> 5
-  in
-  Printf.eprintf "[ls] n=%d, budget=%d evals, %d alternating reps...%!" n evals reps;
-  let t_ref = ref 0.0 and t_wl = ref 0.0 in
-  let last_ref = ref None and last_wl = ref None in
-  for _ = 1 to reps do
-    let (_, s), t =
-      time (fun () -> Hc.improve_reference ~budget:(Budget.steps evals) m init)
-    in
-    last_ref := Some s;
-    t_ref := !t_ref +. t;
-    let (_, s), t = time (fun () -> Hc.improve ~budget:(Budget.steps evals) m init) in
-    last_wl := Some s;
-    t_wl := !t_wl +. t;
-    Printf.eprintf " .%!"
-  done;
-  Printf.eprintf " done (ref %.2fs, delta %.2fs)\n%!" !t_ref !t_wl;
-  let st_ref = Option.get !last_ref and st_wl = Option.get !last_wl in
-  let t_ref = !t_ref and t_wl = !t_wl in
-  let rate st t = float_of_int (reps * st.Hc.moves_evaluated) /. t in
-  let rate_ref = rate st_ref t_ref and rate_wl = rate st_wl t_wl in
-  let speedup = rate_wl /. rate_ref in
-  Printf.printf "instance: exp/wide, n=%d, P=8 g=3 l=5, budget=%d evals, reps=%d\n" n
-    evals reps;
-  Printf.printf "%-12s %12s %10s %14s %10s\n" "engine" "evaluated" "applied" "evals/sec"
-    "final";
-  Printf.printf "%-12s %12d %10d %14.0f %10d\n" "reference" st_ref.Hc.moves_evaluated
-    st_ref.Hc.moves_applied rate_ref st_ref.Hc.final_cost;
-  Printf.printf "%-12s %12d %10d %14.0f %10d\n" "delta" st_wl.Hc.moves_evaluated
-    st_wl.Hc.moves_applied rate_wl st_wl.Hc.final_cost;
-  Printf.printf "speedup (moves evaluated / sec): %.1fx\n" speedup;
-  (* End-to-end: the heuristic pipeline (no ILP — this instance is far
-     above the ILP node caps anyway) on the same instance. *)
-  let pipeline_limits =
-    { Pipeline.fast_limits with Pipeline.hc_evals = evals; hccs_evals = evals / 4 }
-  in
-  (* The end-to-end run doubles as the observability check: a registry
-     is installed only here (the microbenchmark loops above run without
-     one, keeping the measured engine rates registry-free), and its
-     snapshot lands next to the benchmark JSON. *)
-  let reg = Obs.Metrics.create () in
-  let (_, stage), t_pipe =
-    time (fun () ->
-        Obs.Metrics.with_registry reg (fun () -> Pipeline.run ~limits:pipeline_limits m dag))
-  in
-  Printf.printf "pipeline (init+HC+HCcs) wall time: %.2fs, cost %d -> %d\n" t_pipe
-    stage.Pipeline.init_cost stage.Pipeline.final_cost;
-  Obs.Metrics.write_json_file reg "BENCH_localsearch.metrics.json";
-  (* Parallel portfolio benchmark: the multilevel coarsening-ratio
-     sweep, timed once per jobs count (default 1 and 4 domains,
-     overridable with --jobs-sweep) in the same process. The limits
-     carry no wall-clock cap and no ILP, so every run is fully
-     deterministic and the equal-cost assertion below is exact — this is
-     the bench-tier witness of the Par determinism contract. The
-     measurement is taken regardless of --jobs so snapshots always
-     record the same experiment (speedup saturates at the host's core
-     count, which the snapshot records as "cores"; the committed
-     baseline's value reflects its host). Each timed run resets and
-     snapshots the Par per-domain accumulators, so the JSON carries the
-     GC pressure (minor words, collections) behind the speedup. *)
-  let par_sweep_jobs =
-    let requested = match !jobs_sweep with [] -> [ 1; 4 ] | l -> l in
-    let l = List.sort_uniq compare requested in
-    if List.mem 1 l then l else 1 :: l
-  in
-  let par_jobs = List.fold_left max 1 par_sweep_jobs in
-  let ml_ratios = [ 0.45; 0.3; 0.2; 0.15 ] in
-  let ml_target =
-    match !scale with
-    | Datasets.Smoke -> 2_000
-    | Datasets.Default -> 6_000
-    | Datasets.Full -> 12_000
-  in
-  let ml_evals =
-    match !scale with
-    | Datasets.Smoke -> 20_000
-    | Datasets.Default -> 80_000
-    | Datasets.Full -> 250_000
-  in
-  let ml_dag =
-    Finegrained.generate_sized rng ~family:Finegrained.Exp ~shape:Finegrained.Wide
-      ~target:ml_target
-  in
-  let ml_machine = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
-  let ml_limits =
-    {
-      Pipeline.fast_limits with
-      Pipeline.hc_evals = ml_evals;
-      hccs_evals = ml_evals / 4;
-      stage_seconds = None;
-    }
-  in
-  let ml_config =
-    { Multilevel.default_config with Multilevel.ratios = ml_ratios }
-  in
-  let sweep () = Pipeline.run_multilevel ~limits:ml_limits ~config:ml_config ml_machine ml_dag in
-  let cores = Domain.recommended_domain_count () in
-  Printf.eprintf "[par] multilevel ratio sweep n=%d, %d ratios: jobs %s...%!"
-    (Dag.n ml_dag) (List.length ml_ratios)
-    (String.concat "," (List.map string_of_int par_sweep_jobs));
-  let sweep_runs =
-    List.map
-      (fun j ->
-        Par.reset_stats ();
-        (* Whole-run allocation accounting: the submitting domain's
-           [Gc.counters] delta (it runs tasks too, and at jobs = 1 the
-           entire sweep) plus the worker domains' per-drain accumulators
-           from {!Par.stats}. Both sides are domain-local counters —
-           [Gc.quick_stat] would multi-count, since in OCaml 5 it
-           samples every live domain's allocation. Worker idle time
-           between batches allocates nothing, so the sum is the run's
-           total minor-heap traffic. *)
-        let mw0, pw0, _ = Gc.counters () in
-        let s, t = time (fun () -> Par.with_jobs j sweep) in
-        let mw1, pw1, _ = Gc.counters () in
-        let st = Par.stats () in
-        let worker_minor, worker_promoted =
-          List.fold_left
-            (fun (mw, pw) (d : Par.domain_stats) ->
-              if d.Par.is_worker then
-                (mw +. d.Par.minor_words, pw +. d.Par.promoted_words)
-              else (mw, pw))
-            (0.0, 0.0) st
-        in
-        let minor = mw1 -. mw0 +. worker_minor in
-        let promoted = pw1 -. pw0 +. worker_promoted in
-        let r = (j, Bsp_cost.total ml_machine s, t, st, minor, promoted) in
-        Printf.eprintf " %.2fs%!" t;
-        r)
-      par_sweep_jobs
-  in
-  Printf.eprintf "\n%!";
-  let t_of j =
-    match List.find_opt (fun (j', _, _, _, _, _) -> j' = j) sweep_runs with
-    | Some (_, _, t, _, _, _) -> Some t
-    | None -> None
-  in
-  let sweep_cost_j1, t_sweep_j1, sweep_minor_j1, sweep_promoted_j1 =
-    match sweep_runs with
-    | (1, c, t, _, mw, pw) :: _ -> (c, t, mw, pw)
-    | _ -> assert false
-  in
-  List.iter
-    (fun (j, c, _, _, _, _) ->
-      if c <> sweep_cost_j1 then
-        failwith
-          (Printf.sprintf
-             "parallel determinism violated: ratio sweep cost %d at jobs=1 but %d at \
-              jobs=%d"
-             sweep_cost_j1 c j))
-    sweep_runs;
-  let t_sweep_jn = Option.get (t_of par_jobs) in
-  let sweep_speedup = t_sweep_j1 /. t_sweep_jn in
-  let par_domains =
-    match List.find_opt (fun (j, _, _, _, _, _) -> j = par_jobs) sweep_runs with
-    | Some (_, _, _, st, _, _) -> st
-    | None -> []
-  in
-  Printf.printf
-    "multilevel ratio sweep (n=%d, %d ratios, cores=%d, costs identical: %d):\n"
-    (Dag.n ml_dag) (List.length ml_ratios) cores sweep_cost_j1;
-  Printf.printf "  %4s %10s %9s %16s\n" "jobs" "seconds" "speedup" "minor words";
-  List.iter
-    (fun (j, _, t, _, mw, _) ->
-      Printf.printf "  %4d %10.2f %8.2fx %16.0f\n" j t (t_sweep_j1 /. t) mw)
-    sweep_runs;
-  if par_domains <> [] then begin
-    Printf.printf "  per-domain GC/task stats at jobs=%d:\n" par_jobs;
-    List.iter
-      (fun (d : Par.domain_stats) ->
-        Printf.printf
-          "    domain %d (%s): %d tasks, %d batches (chunk %d), %.0f minor words (%.0f \
-           promoted), %d minor / %d major collections\n"
-          d.Par.domain_index
-          (if d.Par.is_worker then "worker" else "submitter")
-          d.Par.tasks_run d.Par.batches_drained d.Par.last_chunk d.Par.minor_words
-          d.Par.promoted_words d.Par.minor_collections d.Par.major_collections)
-      par_domains
-  end;
-  (* Node replication on NUMA (DESIGN.md Section 5g): a single
-     broadcaster (w=1, c=8) on p0 feeding one heavy consumer (w=300) per
-     processor of an 8-leaf delta=4 NUMA tree. Every single-node move
-     doubles some processor's superstep-1 work (+300) for a comm saving
-     of at most g * 584, per move at most 128 — so the move engine is
-     stuck at the start schedule — while replicating the broadcaster
-     onto the far 4-cluster cuts the h-relation from 584 to 72. The
-     replication phase must find that strictly improving replica, and
-     the replicating pipeline must stay bit-identical across jobs
-     counts. *)
-  let rep_machine = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
-  let rep_dag =
-    let n = 9 in
-    Dag.of_edges ~n
-      ~edges:(List.init 8 (fun q -> (0, q + 1)))
-      ~work:(Array.init n (fun v -> if v = 0 then 1 else 300))
-      ~comm:(Array.init n (fun v -> if v = 0 then 8 else 1))
-  in
-  let rep_start =
-    Schedule.of_assignment rep_dag
-      ~proc:(Array.init 9 (fun v -> if v = 0 then 0 else v - 1))
-      ~step:(Array.init 9 (fun v -> if v = 0 then 0 else 1))
-  in
-  let _, st_plain = Hc.improve ~budget:(Budget.steps evals) rep_machine rep_start in
-  let rep_sched, st_rep =
-    Hc.improve ~budget:(Budget.steps evals) ~replicate:true rep_machine rep_start
-  in
-  if not (Validity.is_valid rep_machine rep_sched) then
-    failwith "replication: HC produced an invalid replicated schedule";
-  (match
-     Profile.reconcile
-       (Profile.compute rep_machine rep_sched)
-       (Bsp_cost.breakdown rep_machine rep_sched)
-   with
-  | Ok () -> ()
-  | Error msg -> failwith ("replication: profile does not reconcile: " ^ msg));
-  if st_rep.Hc.final_cost >= st_plain.Hc.final_cost then
-    failwith
-      (Printf.sprintf
-         "replication failed to strictly improve the NUMA broadcast instance (%d vs %d)"
-         st_rep.Hc.final_cost st_plain.Hc.final_cost);
-  (* The full pipeline with the replication stage on, once per jobs
-     count of the sweep: deterministic limits, so costs must be equal. *)
-  let rep_limits = { ml_limits with Pipeline.replicate = true } in
-  let rep_pipe_costs =
-    List.map
-      (fun j ->
-        ( j,
-          Par.with_jobs j (fun () ->
-              Bsp_cost.total rep_machine
-                (fst (Pipeline.run ~limits:rep_limits rep_machine rep_dag))) ))
-      par_sweep_jobs
-  in
-  let rep_pipe_cost = snd (List.hd rep_pipe_costs) in
-  List.iter
-    (fun (j, c) ->
-      if c <> rep_pipe_cost then
-        failwith
-          (Printf.sprintf
-             "parallel determinism violated: replicating pipeline cost %d at jobs=%d \
-              but %d at jobs=%d"
-             rep_pipe_cost (fst (List.hd rep_pipe_costs)) c j))
-    rep_pipe_costs;
-  Printf.printf
-    "replication on NUMA (broadcast n=%d, P=8 delta=4): HC %d -> with replicas %d (%d \
-     added), pipeline %d (identical at jobs %s)\n"
-    (Dag.n rep_dag) st_plain.Hc.final_cost st_rep.Hc.final_cost st_rep.Hc.replicas_added
-    rep_pipe_cost
-    (String.concat "," (List.map (fun (j, _) -> string_of_int j) rep_pipe_costs));
-  (* "ml_sweep_seconds_jobs4" keeps its historical name but records the
-     highest jobs count of the sweep (the "jobs" field next to it). *)
-  let sweep_json =
-    String.concat ",\n      "
-      (List.map
-         (fun (j, c, t, _, mw, pw) ->
-           Printf.sprintf
-             {|{ "jobs": %d, "seconds": %.4f, "cost": %d, "minor_words": %.0f, "promoted_words": %.0f }|}
-             j t c mw pw)
-         sweep_runs)
-  in
-  let domains_json =
-    String.concat ",\n      "
-      (List.map
-         (fun (d : Par.domain_stats) ->
-           Printf.sprintf
-             {|{ "domain_index": %d, "is_worker": %b, "tasks_run": %d, "batches_drained": %d, "last_chunk": %d, "minor_words": %.0f, "promoted_words": %.0f, "minor_collections": %d, "major_collections": %d }|}
-             d.Par.domain_index d.Par.is_worker d.Par.tasks_run d.Par.batches_drained
-             d.Par.last_chunk d.Par.minor_words d.Par.promoted_words
-             d.Par.minor_collections d.Par.major_collections)
-         par_domains)
-  in
-  Atomic_file.write "BENCH_localsearch.json" @@ fun oc ->
-  Printf.fprintf oc
-    {|{
-  "benchmark": "localsearch",
-  "scale": "%s",
-  "seed": %d,
-  "jobs": %d,
-  "instance": { "family": "exp", "shape": "wide", "nodes": %d },
-  "machine": { "p": 8, "g": 3, "l": 5 },
-  "eval_budget": %d,
-  "reps": %d,
-  "reference": {
-    "moves_evaluated": %d,
-    "moves_applied": %d,
-    "seconds_total": %.4f,
-    "evals_per_sec": %.0f,
-    "final_cost": %d
-  },
-  "delta_worklist": {
-    "moves_evaluated": %d,
-    "moves_applied": %d,
-    "seconds_total": %.4f,
-    "evals_per_sec": %.0f,
-    "final_cost": %d
-  },
-  "speedup_evals_per_sec": %.2f,
-  "pipeline_seconds": %.4f,
-  "pipeline_final_cost": %d,
-  "replication": {
-    "instance_nodes": %d,
-    "hc_cost": %d,
-    "hc_replicated_cost": %d,
-    "replicas_added": %d,
-    "pipeline_cost": %d,
-    "jobs_costs_equal": true
-  },
-  "parallel": {
-    "jobs": %d,
-    "cores": %d,
-    "minor_heap_words": %d,
-    "ml_sweep_nodes": %d,
-    "ml_sweep_ratios": %d,
-    "ml_sweep_seconds_jobs1": %.4f,
-    "ml_sweep_seconds_jobs4": %.4f,
-    "ml_sweep_speedup": %.2f,
-    "ml_sweep_final_cost": %d,
-    "ml_sweep_minor_words_jobs1": %.0f,
-    "ml_sweep_promoted_words_jobs1": %.0f,
-    "costs_equal": true,
-    "sweep": [
-      %s
-    ],
-    "domains": [
-      %s
-    ]
-  }
-}
-|}
-    (Datasets.scale_name !scale) !seed !jobs n evals reps st_ref.Hc.moves_evaluated
-    st_ref.Hc.moves_applied t_ref rate_ref st_ref.Hc.final_cost st_wl.Hc.moves_evaluated
-    st_wl.Hc.moves_applied t_wl rate_wl st_wl.Hc.final_cost speedup t_pipe
-    stage.Pipeline.final_cost (Dag.n rep_dag) st_plain.Hc.final_cost
-    st_rep.Hc.final_cost st_rep.Hc.replicas_added rep_pipe_cost par_jobs cores
-    Par.minor_heap_words (Dag.n ml_dag)
-    (List.length ml_ratios) t_sweep_j1 t_sweep_jn sweep_speedup sweep_cost_j1
-    sweep_minor_j1 sweep_promoted_j1 sweep_json domains_json;
-  Printf.printf "wrote BENCH_localsearch.json and BENCH_localsearch.metrics.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Serving: cold schedule vs content-addressed cache hit (DESIGN.md
-   Section 5h). Emits BENCH_server.json and hard-fails if the hit path
-   is not at least 100x faster than the cold path. *)
-
-let server () =
-  header "Schedule server: cold compute vs cache hit";
-  let target, budget =
-    match !scale with
-    | Datasets.Smoke -> (4_000, 2.0)
-    | Datasets.Default -> (12_000, 5.0)
-    | Datasets.Full -> (30_000, 10.0)
-  in
-  let rng = Rng.create !seed in
-  let dag =
-    Finegrained.generate_sized rng ~family:Finegrained.Exp ~shape:Finegrained.Wide
-      ~target
-  in
-  let machine = Machine.uniform ~p:8 ~g:3 ~l:5 in
-  let req id =
-    {
-      Server.Request.id;
-      algorithm = "pipeline";
-      seconds = budget;
-      seed = !seed;
-      replicate = false;
-      machine;
-      dag;
-    }
-  in
-  let reg = Obs.Metrics.create () in
-  Obs.Metrics.install reg;
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bsp-bench-cache.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir cache_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.eprintf "[server] n=%d, budget=%.0fs, cold run...%!" (Dag.n dag) budget;
-  let cold, t_cold = time (fun () -> Server.Engine.handle ~cache_dir (req "cold")) in
-  assert (cold.Server.Engine.status = Server.Engine.Miss);
-  (* the hit path is pure IO (read meta + parse schedule); take the best
-     of a few reps so one unlucky page fault doesn't decide the number *)
-  let hit_reps = 5 in
-  let t_hit = ref infinity in
-  let hit = ref cold in
-  for i = 1 to hit_reps do
-    let r, t = time (fun () -> Server.Engine.handle ~cache_dir (req (Printf.sprintf "hit%d" i))) in
-    assert (r.Server.Engine.status = Server.Engine.Hit);
-    hit := r;
-    t_hit := Float.min !t_hit t
-  done;
-  let hit = !hit and t_hit = !t_hit in
-  Printf.eprintf " done\n%!";
-  let identical =
-    Schedule_io.to_string hit.Server.Engine.schedule
-    = Schedule_io.to_string cold.Server.Engine.schedule
-  in
-  let speedup = t_cold /. t_hit in
-  Printf.printf "instance: exp/wide, n=%d, P=8 g=3 l=5, budget=%.0fs\n" (Dag.n dag)
-    budget;
-  Printf.printf "cold (miss): %8.3fs   cost %d\n" t_cold cold.Server.Engine.cost;
-  Printf.printf "hit:         %8.5fs   cost %d (best of %d)\n" t_hit
-    hit.Server.Engine.cost hit_reps;
-  Printf.printf "speedup: %.0fx, bit-identical: %b\n" speedup identical;
-  Obs.Metrics.write_json_file reg "BENCH_server.metrics.json";
-  Atomic_file.write "BENCH_server.json" (fun oc ->
-      Printf.fprintf oc
-        {|{
-  "benchmark": "server",
-  "scale": "%s",
-  "seed": %d,
-  "instance": { "family": "exp", "shape": "wide", "nodes": %d },
-  "machine": { "p": 8, "g": 3, "l": 5 },
-  "seconds_budget": %.1f,
-  "key": "%s",
-  "cold_seconds": %.6f,
-  "hit_seconds": %.6f,
-  "hit_reps": %d,
-  "speedup": %.1f,
-  "cold_cost": %d,
-  "hit_cost": %d,
-  "bit_identical": %b
-}
-|}
-        (Datasets.scale_name !scale) !seed (Dag.n dag) budget cold.Server.Engine.key
-        t_cold t_hit hit_reps speedup cold.Server.Engine.cost hit.Server.Engine.cost
-        identical);
-  Printf.printf "wrote BENCH_server.json and BENCH_server.metrics.json\n";
-  (try
-     Array.iter
-       (fun e -> Sys.remove (Filename.concat cache_dir e))
-       (Sys.readdir cache_dir);
-     Unix.rmdir cache_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  if hit.Server.Engine.cost <> cold.Server.Engine.cost || not identical then begin
-    Printf.printf "FAIL: cache hit is not bit-identical to the cold schedule\n";
-    exit 1
-  end;
-  if speedup < 100.0 then begin
-    Printf.printf "FAIL: cache hit only %.1fx faster than cold path (need >= 100x)\n"
-      speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead smoke (DESIGN.md Section 5i): the same
    parallel hill-climbing fan-out timed with the recorder off and on,
    alternating reps, best-of-N to shed host noise. Hard-fails when the
@@ -1436,228 +885,6 @@ let obs () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel stage timings (Section 8's running-time discussion).       *)
-
-let run_timing () =
-  let open Bechamel in
-  let rng = Rng.create !seed in
-  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:30 ~q:0.1) ~k:4 in
-  let m = Machine.uniform ~p:8 ~g:3 ~l:5 in
-  let init = Bspg.schedule m dag in
-  let lim = bench_limits () in
-  let tests =
-    [
-      Test.make ~name:"cilk" (Staged.stage (fun () -> Cilk.schedule dag ~p:8 ~seed:1));
-      Test.make ~name:"bl-est"
-        (Staged.stage (fun () -> List_scheduler.schedule List_scheduler.Bl_est m dag));
-      Test.make ~name:"etf"
-        (Staged.stage (fun () -> List_scheduler.schedule List_scheduler.Etf m dag));
-      Test.make ~name:"hdagg" (Staged.stage (fun () -> Hdagg.schedule m dag));
-      Test.make ~name:"bspg" (Staged.stage (fun () -> Bspg.schedule m dag));
-      Test.make ~name:"source" (Staged.stage (fun () -> Source_heuristic.schedule m dag));
-      Test.make ~name:"hc"
-        (Staged.stage (fun () -> Hc.improve ~budget:(Budget.steps 50_000) m init));
-      Test.make ~name:"hccs"
-        (Staged.stage (fun () -> Hccs.improve ~budget:(Budget.steps 20_000) m init));
-      Test.make ~name:"ilp-part"
-        (Staged.stage (fun () ->
-             Ilp_schedulers.part ~budget:(Budget.steps 20)
-               ~max_vars:lim.Pipeline.ilp_part_max_vars ~max_nodes:20 m init));
-      Test.make ~name:"ilp-cs"
-        (Staged.stage (fun () ->
-             Ilp_schedulers.comm_schedule ~budget:(Budget.steps 30)
-               ~max_vars:lim.Pipeline.ilp_cs_max_vars ~max_nodes:30 m init));
-      Test.make ~name:"coarsen-30%"
-        (Staged.stage (fun () ->
-             let session = Coarsen.start dag in
-             Coarsen.coarsen_to session ~target:(Dag.n dag * 3 / 10)));
-      Test.make ~name:"cost-eval" (Staged.stage (fun () -> Bsp_cost.total m init));
-      Test.make ~name:"validity" (Staged.stage (fun () -> Validity.is_valid m init));
-    ]
-  in
-  header "Stage timings (Bechamel, monotonic clock)";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None ~stabilize:false ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          (* Strip the synthetic group prefix Bechamel adds. *)
-          let name =
-            match String.index_opt name '/' with
-            | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-            | None -> name
-          in
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-24s %14.0f ns/run\n" name est
-          | _ -> Printf.printf "%-24s (no estimate)\n" name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Regression guard: --compare BASELINE.json diffs the fresh localsearch
-   numbers against a committed BENCH_localsearch.json snapshot.
-
-   Final costs are deterministic for a fixed scale and seed (modulo the
-   per-stage wall-clock caps, hence a small tolerance); absolute
-   evals/sec rates vary with the host, so the perf tolerance is generous
-   and the machine-relative speedup ratio (delta engine vs the reference
-   engine timed in the same process) is the sturdier signal.            *)
-
-let read_json path =
-  let contents = In_channel.with_open_bin path In_channel.input_all in
-  try Obs.Json.of_string contents
-  with Obs.Json.Parse_error msg ->
-    Printf.eprintf "bench --compare: %s does not parse as JSON: %s\n" path msg;
-    exit 2
-
-let json_path json path =
-  List.fold_left
-    (fun acc key -> match acc with Some v -> Obs.Json.member key v | None -> None)
-    (Some json) path
-
-(* (path into the snapshot, metric kind). `Cost and `Perf are guarded
-   with the --cost-tolerance / --perf-tolerance knobs; `Alloc is the
-   allocation-regression gate — a hard, tolerance-flag-independent cap
-   of 1.5x on minor-heap words, enforced even when the wall-clock
-   metrics are skipped (jobs mismatch): allocation at jobs = 1 is a
-   deterministic property of the code path, not of the host. *)
-let alloc_cap = 1.5
-
-let guarded_metrics =
-  [
-    ([ "reference"; "final_cost" ], `Cost);
-    ([ "delta_worklist"; "final_cost" ], `Cost);
-    ([ "pipeline_final_cost" ], `Cost);
-    ([ "replication"; "hc_replicated_cost" ], `Cost);
-    ([ "replication"; "pipeline_cost" ], `Cost);
-    ([ "parallel"; "ml_sweep_final_cost" ], `Cost);
-    ([ "parallel"; "ml_sweep_minor_words_jobs1" ], `Alloc);
-    ([ "reference"; "evals_per_sec" ], `Perf);
-    ([ "delta_worklist"; "evals_per_sec" ], `Perf);
-    ([ "speedup_evals_per_sec" ], `Perf);
-    ([ "parallel"; "ml_sweep_speedup" ], `Perf);
-  ]
-
-let compare_snapshots ~baseline_path ~baseline ~fresh =
-  let str p j =
-    match json_path j p with Some (Obs.Json.String s) -> Some s | _ -> None
-  in
-  let num p j = Option.bind (json_path j p) Obs.Json.to_float_opt in
-  (match (str [ "scale" ] baseline, str [ "scale" ] fresh) with
-   | Some a, Some b when a <> b ->
-     Printf.eprintf
-       "bench --compare: scale mismatch (baseline %s is %s, this run is %s) — costs are \
-        not comparable\n"
-       baseline_path a b;
-     exit 2
-   | _ -> ());
-  (match (num [ "seed" ] baseline, num [ "seed" ] fresh) with
-   | Some a, Some b when a <> b ->
-     Printf.eprintf "bench --compare: seed mismatch (baseline %.0f, this run %.0f)\n" a b;
-     exit 2
-   | _ -> ());
-  (* Wall-clock metrics must never be compared across different core
-     counts, but costs and jobs = 1 allocation are jobs-independent: on
-     a jobs mismatch the `Perf rows are skipped while `Cost and `Alloc
-     stay enforced (this is what lets CI run the guard in its jobs = 4
-     lane against the committed jobs = 1 baseline). A snapshot predating
-     the jobs field is rejected outright — regenerate it. *)
-  let jobs_mismatch =
-    match (num [ "jobs" ] baseline, num [ "jobs" ] fresh) with
-    | Some a, Some b when a <> b ->
-      Printf.printf
-        "bench --compare: jobs mismatch (baseline %s ran with --jobs %.0f, this run \
-         with --jobs %.0f) — perf metrics skipped; cost and allocation guards still \
-         enforced\n"
-        baseline_path a b;
-      true
-    | None, _ ->
-      Printf.eprintf
-        "bench --compare: baseline %s has no \"jobs\" field (pre-parallel snapshot) — \
-         regenerate it with the current harness\n"
-        baseline_path;
-      exit 2
-    | _ -> false
-  in
-  header (Printf.sprintf "Regression guard: fresh run vs %s" baseline_path);
-  Printf.printf "%-32s %14s %14s %8s  %s\n" "metric" "baseline" "fresh" "ratio"
-    "verdict";
-  let regressions = ref 0 in
-  List.iter
-    (fun (path, kind) ->
-      let name = String.concat "." path in
-      if kind = `Perf && jobs_mismatch then
-        Printf.printf "%-32s (skipped: jobs mismatch)\n" name
-      else
-        match (num path baseline, num path fresh) with
-        | Some b, Some f ->
-          let ratio = if b = 0.0 then 1.0 else f /. b in
-          let regressed =
-            match kind with
-            | `Cost -> f > b *. (1.0 +. !cost_tol)
-            | `Perf -> f < b *. (1.0 -. !perf_tol)
-            | `Alloc -> f > b *. alloc_cap
-          in
-          if regressed then incr regressions;
-          Printf.printf "%-32s %14.1f %14.1f %8.3f  %s\n" name b f ratio
-            (if regressed then "REGRESSED" else "ok")
-        | _ ->
-          Printf.printf "%-32s (missing in baseline or fresh snapshot — skipped)\n" name)
-    guarded_metrics;
-  (* Absolute floor on the fresh parallel speedup, independent of the
-     baseline. Wall-clock speedup is physically bounded by the host's
-     core count, so the floor only binds when the fresh run had at least
-     as many cores as domains; on smaller hosts it downgrades to an
-     informational line (the determinism and cost guards above still
-     apply there). *)
-  (match !speedup_floor with
-   | None -> ()
-   | Some floor ->
-     let fresh_speedup = num [ "parallel"; "ml_sweep_speedup" ] fresh in
-     let fresh_cores = num [ "parallel"; "cores" ] fresh in
-     let fresh_jobs = num [ "parallel"; "jobs" ] fresh in
-     (match (fresh_speedup, fresh_cores, fresh_jobs) with
-      | None, _, _ ->
-        Printf.eprintf
-          "bench --compare: fresh snapshot has no parallel.ml_sweep_speedup — cannot \
-           apply --speedup-floor\n";
-        exit 2
-      | Some s, Some c, Some j when c >= j ->
-        if s < floor then begin
-          incr regressions;
-          Printf.printf "%-32s %14s %14.2f %8s  %s\n" "parallel speedup floor"
-            (Printf.sprintf ">= %.2f" floor) s "" "REGRESSED"
-        end
-        else
-          Printf.printf "%-32s %14s %14.2f %8s  %s\n" "parallel speedup floor"
-            (Printf.sprintf ">= %.2f" floor) s "" "ok"
-      | Some s, c, j ->
-        Printf.printf
-          "parallel speedup floor >= %.2f: not enforced (host has %s cores for %s \
-           domains; measured %.2fx)\n"
-          floor
-          (match c with Some c -> Printf.sprintf "%.0f" c | None -> "unknown")
-          (match j with Some j -> Printf.sprintf "%.0f" j | None -> "unknown")
-          s));
-  if !regressions > 0 then begin
-    Printf.eprintf
-      "bench --compare: %d metric(s) regressed beyond tolerance (cost %.0f%%, perf \
-       %.0f%%, alloc cap %.1fx)\n"
-      !regressions (100.0 *. !cost_tol) (100.0 *. !perf_tol) alloc_cap;
-    exit 1
-  end
-  else
-    Printf.printf
-      "no regressions (cost tolerance %.0f%%, perf tolerance %.0f%%, alloc cap %.1fx)\n"
-      (100.0 *. !cost_tol) (100.0 *. !perf_tol) alloc_cap
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -1679,9 +906,6 @@ let sections =
     ("table13", table13);
     ("table14", table14);
     ("ablations", ablations);
-    ("ls_smoke", ls_smoke);
-    ("localsearch", localsearch);
-    ("server", server);
     ("obs", obs);
   ]
 
@@ -1692,30 +916,20 @@ let () =
     List.iter (fun (id, _) -> print_endline id) sections;
     exit 0
   end;
+  (match List.filter (fun id -> not (List.mem_assoc id sections)) !only with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "main.exe: unknown section id(s) %s; valid ids: %s\n"
+       (String.concat ", " unknown)
+       (String.concat ", " (List.map fst sections));
+     exit 2);
   Printf.printf "BSP+NUMA scheduling benchmark harness (scale=%s, seed=%d, jobs=%d)\n"
     (Datasets.scale_name !scale) !seed !jobs;
-  (* Read the baseline before anything runs: the fresh localsearch run
-     overwrites BENCH_localsearch.json, which is the usual baseline. *)
-  let baseline =
-    Option.map (fun path -> (path, read_json path)) !compare_baseline
-  in
   let t0 = Unix.gettimeofday () in
   let selected =
     match !only with
     | [] -> sections
     | ids -> List.filter (fun (id, _) -> List.mem id ids) sections
   in
-  (* The guard needs fresh localsearch numbers even if --only skipped the
-     section. *)
-  let selected =
-    if baseline <> None && not (List.mem_assoc "localsearch" selected) then
-      selected @ [ ("localsearch", localsearch) ]
-    else selected
-  in
   List.iter (fun (_, f) -> f ()) selected;
-  if !timing then run_timing ();
-  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0);
-  match baseline with
-  | None -> ()
-  | Some (baseline_path, baseline) ->
-    compare_snapshots ~baseline_path ~baseline ~fresh:(read_json "BENCH_localsearch.json")
+  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -7,8 +7,7 @@
    The topological order and rank caches are computed eagerly at
    construction, so a built value is deeply immutable — sharing a DAG
    across domains involves no lazy initialisation and therefore no data
-   race by construction ({!warm_caches} is a no-op kept for
-   compatibility). The flat layout also keeps the local-search hot
+   race by construction. The flat layout also keeps the local-search hot
    loops on two contiguous int arrays per direction instead of chasing
    a pointer per node. *)
 
@@ -403,11 +402,6 @@ let is_acyclic_edges ~n edges =
 
 let topological_order g = g.topo
 let topological_rank g = g.rank
-
-(* Caches are eager since the CSR refactor; kept so call sites guarding
-   cross-domain sharing need no change (and as documentation of the
-   sharing discipline). *)
-let warm_caches (_ : t) = ()
 
 let wavefronts g =
   let level = Array.make g.n 0 in

@@ -132,13 +132,6 @@ val topological_order : t -> int array
 val topological_rank : t -> int array
 (** [rank.(v)] is the position of [v] in {!topological_order}. *)
 
-val warm_caches : t -> unit
-(** No-op. The topological order and rank are computed eagerly at
-    construction since the CSR refactor, so a DAG is always safe to
-    share across domains. Kept so existing call sites guarding [Par]
-    fan-outs keep compiling (and as documentation of why no warming is
-    needed). *)
-
 val wavefronts : t -> int array
 (** [wavefronts g] assigns each node its earliest level: sources are
     level 0 and [level v = 1 + max (level u)] over predecessors. This is

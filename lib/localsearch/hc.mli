@@ -98,20 +98,3 @@ val replicate_schedule :
     hand-optimised event placement — compare the result's cost against
     the input's and keep the cheaper, as {!Pipeline.run} does. The input
     must be replica-free. *)
-
-val improve_reference :
-  ?check:bool ->
-  ?budget:Budget.t ->
-  ?max_moves:int ->
-  Machine.t ->
-  Schedule.t ->
-  Schedule.t * stats
-(** The original engine: exhaustive sweeps over all nodes until a full
-    pass finds no improvement, with every candidate costed by mutating
-    the state and rolling back on rejection. Retained as the
-    differential-testing baseline for {!improve} and as the benchmark
-    reference the delta/worklist speedup is measured against ([check]
-    re-verifies the rollback, as the seed implementation asserted
-    unconditionally). Same first-improvement rule and candidate order,
-    so both engines terminate in local minima of the same
-    neighbourhood. *)

@@ -72,8 +72,7 @@ val set_jobs : int -> unit
 
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** Run the callback with the jobs setting temporarily replaced
-    (exception-safe restore). Used by the bench harness to time the
-    same sweep at [jobs = 1] and [jobs = N] in one process. *)
+    (exception-safe restore). *)
 
 val chunk_size : factor:int -> jobs:int -> count:int -> int
 (** The number of task indices one work-claim takes from a batch of
@@ -84,16 +83,8 @@ val chunk_size : factor:int -> jobs:int -> count:int -> int
     amortise the atomic claim over more tasks. Tiny batches
     ([count <= factor * jobs], e.g. a 4-ratio portfolio at [jobs = 4])
     degenerate to chunk 1 so no drainer hoards tasks another domain
-    could run. Pure; exposed for tests. *)
-
-val chunk_factor : unit -> int
-(** The current oversubscription factor (>= 1). Initialised from the
-    [BSP_CHUNK_FACTOR] environment variable when it parses as a
-    positive integer, else 4. *)
-
-val set_chunk_factor : int -> unit
-(** Set the oversubscription factor (clamped to >= 1), applied to every
-    subsequently submitted batch. *)
+    could run. Every batch uses [factor = 4]. Pure; exposed for
+    tests. *)
 
 val minor_heap_words : int
 (** The per-domain minor heap size (in words) applied to every domain
@@ -117,7 +108,7 @@ val minor_heap_words : int
     in OCaml 5 it samples every live domain, so each domain would
     report roughly the whole process's allocation and summing the
     stats would multi-count it. This is the measurement layer behind
-    the bench harness's parallel block — minor-GC-bound parallelism
+    the daemon's pool stats — minor-GC-bound parallelism
     shows up as high [minor_collections] with low speedup, granularity
     problems as skewed [tasks_run]. *)
 

@@ -155,19 +155,10 @@ let test_hyperdag_excess_weight_lines_rejected () =
     check_bool "names the surplus" true
       (msg = "Hyperdag_io: 2 lines after the 4 declared weight lines")
 
-(* Since the CSR refactor the topological order and rank are computed
-   eagerly at construction, so warm_caches has nothing left to do: it
-   must not change anything observable, and a freshly built DAG is
-   safe to read from another domain without any warm-up call. *)
-let test_warm_caches_noop () =
-  let g = Test_util.diamond () in
-  let topo_before = Array.copy (Dag.topological_order g) in
-  let rank_before = Array.copy (Dag.topological_rank g) in
-  let edges_before = Dag.edges g in
-  Dag.warm_caches g;
-  Alcotest.(check (array int)) "topo unchanged" topo_before (Dag.topological_order g);
-  Alcotest.(check (array int)) "rank unchanged" rank_before (Dag.topological_rank g);
-  Alcotest.(check (list (pair int int))) "edges unchanged" edges_before (Dag.edges g);
+(* The topological order and rank are computed eagerly at
+   construction, so a freshly built DAG is safe to read from another
+   domain without any warm-up call. *)
+let test_shared_across_domains () =
   let c = Test_util.chain 6 in
   let d = Domain.spawn (fun () -> (Dag.topological_order c).(5)) in
   check "eager topo readable cross-domain" 5 (Domain.join d)
@@ -363,7 +354,8 @@ let () =
           Alcotest.test_case "hyperdag excess weight lines" `Quick
             test_hyperdag_excess_weight_lines_rejected;
           Alcotest.test_case "is_acyclic_edges" `Quick test_is_acyclic_edges;
-          Alcotest.test_case "warm_caches is a no-op" `Quick test_warm_caches_noop;
+          Alcotest.test_case "eager caches shared across domains" `Quick
+            test_shared_across_domains;
         ] );
       ( "property",
         [

@@ -55,6 +55,47 @@ let test_hc_respects_max_moves () =
   let _, stats = Hc.improve ~check:true ~max_moves:2 m s in
   check_bool "capped" true (stats.Hc.moves_applied <= 2)
 
+(* The seed HC engine, kept as the oracle for the worklist engine:
+   sweeps over all nodes until a full pass finds no improvement, each
+   candidate costed by applying it and rolling back on rejection. Same
+   neighbourhood, first-improvement rule and candidate order as
+   {!Hc.improve}. Returns (moves applied, final cost). *)
+let improve_reference m sched =
+  let st = Assignment_state.init m (Schedule.with_lazy_comm sched) in
+  let try_move v p2 s2 =
+    let p1 = Assignment_state.proc st v and s1 = Assignment_state.step st v in
+    let before = Assignment_state.total_cost st in
+    Assignment_state.apply_move st v p2 s2;
+    Assignment_state.total_cost st < before
+    || begin
+      Assignment_state.apply_move st v p1 s1;
+      check "rollback restores the cost" before (Assignment_state.total_cost st);
+      false
+    end
+  in
+  let applied = ref 0 and improved = ref true in
+  while !improved do
+    improved := false;
+    for v = 0 to Dag.n sched.Schedule.dag - 1 do
+      let p1 = Assignment_state.proc st v and s1 = Assignment_state.step st v in
+      let moved = ref false in
+      List.iter
+        (fun s2 ->
+          for p2 = 0 to m.Machine.p - 1 do
+            if (not !moved) && not (p2 = p1 && s2 = s1) then
+              if Assignment_state.valid_move st v p2 s2 && try_move v p2 s2 then begin
+                moved := true;
+                improved := true;
+                incr applied
+              end
+          done)
+        [ s1 - 1; s1; s1 + 1 ]
+    done
+  done;
+  let result = Assignment_state.snapshot st in
+  Assignment_state.release st;
+  (!applied, Bsp_cost.total m result)
+
 let test_worklist_matches_reference () =
   (* The worklist engine explores the same neighbourhood as the
      exhaustive apply/rollback sweep it replaced, but once a move is
@@ -71,11 +112,12 @@ let test_worklist_matches_reference () =
       let m = Machine.uniform ~p:4 ~g:3 ~l:2 in
       let s = start_schedule rng dag 4 in
       let worklist_sched, worklist = Hc.improve ~check:true m s in
-      let _, reference = Hc.improve_reference ~check:true m s in
-      let _, at_fixpoint = Hc.improve_reference ~check:true m worklist_sched in
-      check "worklist result is a local minimum" 0 at_fixpoint.Hc.moves_applied;
+      let reference_moves, reference_cost = improve_reference m s in
+      let at_fixpoint, _ = improve_reference m worklist_sched in
+      check_bool "reference improves the start" true (reference_moves > 0);
+      check "worklist result is a local minimum" 0 at_fixpoint;
       check_bool "worklist no worse than reference" true
-        (worklist.Hc.final_cost <= reference.Hc.final_cost))
+        (worklist.Hc.final_cost <= reference_cost))
     [ 1; 3; 9; 10; 25 ]
 
 let test_hc_local_minimum_stable () =
@@ -159,6 +201,22 @@ let test_replicate_schedule_broadcast () =
   Alcotest.(check (list (pair int int))) "snapshot keeps replicas" [ (2, 0) ]
     (Schedule.replicas snap 0);
   Assignment_state.release st
+
+let test_hc_replication_escapes_numa_broadcast () =
+  (* Plain HC is stuck at the start schedule; only the replication
+     phase can improve it (see Test_util.numa_broadcast). *)
+  let m, _, s = Test_util.numa_broadcast () in
+  let _, plain = Hc.improve ~check:true m s in
+  check "plain HC applies no move" 0 plain.Hc.moves_applied;
+  check "plain HC cost" 895 plain.Hc.final_cost;
+  let r, rep = Hc.improve ~check:true ~replicate:true m s in
+  check "replicated cost" 383 rep.Hc.final_cost;
+  check "reported cost exact" rep.Hc.final_cost (Bsp_cost.total m r);
+  check "one replica" 1 rep.Hc.replicas_added;
+  check_bool "valid" true (Validity.is_valid m r);
+  match Profile.reconcile (Profile.compute m r) (Bsp_cost.breakdown m r) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("profile does not reconcile: " ^ msg)
 
 let test_replication_guards () =
   (* Single-node moves and replication never interleave: once the state
@@ -409,6 +467,8 @@ let () =
           Alcotest.test_case "hccs no freedom" `Quick test_hccs_noop_when_no_freedom;
           Alcotest.test_case "replicate_schedule on a NUMA broadcast" `Quick
             test_replicate_schedule_broadcast;
+          Alcotest.test_case "hc replicate escapes NUMA broadcast" `Quick
+            test_hc_replication_escapes_numa_broadcast;
           Alcotest.test_case "replication guards" `Quick test_replication_guards;
         ] );
       ( "property",

@@ -114,18 +114,13 @@ let test_chunk_size () =
   check "factor 1 = even split" 250 (Par.chunk_size ~factor:1 ~jobs:4 ~count:1000);
   check "factor clamped to >= 1" 10 (Par.chunk_size ~factor:0 ~jobs:1 ~count:10);
   check "jobs clamped to >= 1" 5 (Par.chunk_size ~factor:2 ~jobs:0 ~count:10);
-  check "empty batch still >= 1" 1 (Par.chunk_size ~factor:4 ~jobs:4 ~count:0);
-  let old = Par.chunk_factor () in
-  Par.set_chunk_factor 0;
-  check "set_chunk_factor clamps to >= 1" 1 (Par.chunk_factor ());
-  Par.set_chunk_factor old;
-  check "set_chunk_factor round-trips" old (Par.chunk_factor ())
+  check "empty batch still >= 1" 1 (Par.chunk_size ~factor:4 ~jobs:4 ~count:0)
 
 let test_last_chunk_recorded () =
   (* Every domain that drained the batch must report the batch's chunk
-     size in its stats block. *)
+     size (factor 4, as every batch uses) in its stats block. *)
   Par.reset_stats ();
-  let expected = Par.chunk_size ~factor:(Par.chunk_factor ()) ~jobs:2 ~count:64 in
+  let expected = Par.chunk_size ~factor:4 ~jobs:2 ~count:64 in
   ignore (at_jobs 2 (fun () -> Par.map (fun i -> i) (List.init 64 (fun i -> i))));
   let ds = Par.stats () in
   check_bool "some domain drained" true (ds <> []);
@@ -225,9 +220,14 @@ let prop_pipeline_jobs_invariant =
        QCheck2.Gen.(int_range 1 1000)
        (fun seed ->
          let machine, dag = instance_of_seed seed in
-         let s1, c1 = Par.with_jobs 1 (fun () -> Pipeline.run ~limits:par_limits machine dag) in
-         let s4, c4 = Par.with_jobs 4 (fun () -> Pipeline.run ~limits:par_limits machine dag) in
-         c1 = c4 && Bsp_cost.total machine s1 = Bsp_cost.total machine s4))
+         (* With and without the final replication stage. *)
+         List.for_all
+           (fun replicate ->
+             let limits = { par_limits with Pipeline.replicate } in
+             let s1, c1 = Par.with_jobs 1 (fun () -> Pipeline.run ~limits machine dag) in
+             let s4, c4 = Par.with_jobs 4 (fun () -> Pipeline.run ~limits machine dag) in
+             c1 = c4 && Bsp_cost.total machine s1 = Bsp_cost.total machine s4)
+           [ false; true ]))
 
 let prop_multilevel_jobs_invariant =
   QCheck_alcotest.to_alcotest
@@ -242,6 +242,17 @@ let prop_multilevel_jobs_invariant =
              (Pipeline.run_multilevel ~limits:par_limits ~config machine dag)
          in
          Par.with_jobs 1 run = Par.with_jobs 4 run))
+
+(* The random instances above rarely gain from replication; on this
+   one the replicating pipeline always places a replica (cost 895 ->
+   383), so the replication stage itself is checked across jobs. *)
+let test_replicating_pipeline_jobs_invariant () =
+  let machine, dag, _ = Test_util.numa_broadcast () in
+  let limits = { par_limits with Pipeline.replicate = true } in
+  let run j = fst (Par.with_jobs j (fun () -> Pipeline.run ~limits machine dag)) in
+  let s1 = run 1 and s4 = run 4 in
+  check "replica placed" 1 (Schedule.num_replicas s1);
+  check "cost at jobs=4 equals jobs=1" (Bsp_cost.total machine s1) (Bsp_cost.total machine s4)
 
 (* Mirrors test_obs's exact accounting test, but with the candidate
    chains fanned out over 4 domains: the per-span [steps_used] must
@@ -345,6 +356,8 @@ let () =
         [
           prop_pipeline_jobs_invariant;
           prop_multilevel_jobs_invariant;
+          Alcotest.test_case "replicating pipeline on NUMA broadcast" `Quick
+            test_replicating_pipeline_jobs_invariant;
           Alcotest.test_case "steps accounting exact under jobs=4" `Quick
             test_parallel_steps_accounting;
           Alcotest.test_case "registry merge matches sequential" `Quick

@@ -12,6 +12,28 @@ let chain k =
     ~edges:(List.init (k - 1) (fun i -> (i, i + 1)))
     ~work:(Array.make k 1) ~comm:(Array.make k 1)
 
+(* A broadcaster (w=1, c=8) feeding one heavy consumer (w=300) per
+   processor of an 8-leaf delta=4 NUMA tree, with the start schedule
+   that puts the broadcaster on p0 in superstep 0 and consumer v on
+   processor v - 1 in superstep 1. Every single-node move doubles some
+   processor's superstep-1 work (+300) for a comm saving of at most 128,
+   so the move engine is stuck there; replicating the broadcaster onto
+   the far 4-cluster cuts the h-relation from 584 to 72. *)
+let numa_broadcast () =
+  let machine = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
+  let dag =
+    Dag.of_edges ~n:9
+      ~edges:(List.init 8 (fun q -> (0, q + 1)))
+      ~work:(Array.init 9 (fun v -> if v = 0 then 1 else 300))
+      ~comm:(Array.init 9 (fun v -> if v = 0 then 8 else 1))
+  in
+  let start =
+    Schedule.of_assignment dag
+      ~proc:(Array.init 9 (fun v -> if v = 0 then 0 else v - 1))
+      ~step:(Array.init 9 (fun v -> if v = 0 then 0 else 1))
+  in
+  (machine, dag, start)
+
 (* Random layered DAG: nodes get random weights; edges only point from
    lower to higher ids, so acyclicity holds by construction. *)
 let random_dag rng ~n ~edge_prob ~max_w ~max_c =
