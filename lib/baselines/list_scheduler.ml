@@ -1,7 +1,5 @@
 type variant = Bl_est | Etf
 
-let variant_name = function Bl_est -> "bl-est" | Etf -> "etf"
-
 (* Communication delay charged when the consumer sits on a different
    processor than producer [u]. Baselines price NUMA with the average
    coefficient (Appendix A.1); for uniform machines this is exactly
@@ -27,14 +25,12 @@ let run variant machine dag =
   done;
   let est v q =
     let data_ready =
-      Array.fold_left
-        (fun acc u ->
+      Dag.fold_pred dag v ~init:0.0 (fun acc u ->
           let arrival =
             if proc.(u) = q then finish.(u)
             else finish.(u) +. comm_delay machine dag u
           in
           Float.max acc arrival)
-        0.0 (Dag.pred dag v)
     in
     Float.max proc_avail.(q) data_ready
   in
@@ -56,11 +52,9 @@ let run variant machine dag =
     finish.(v) <- t +. float_of_int (Dag.work dag v);
     proc_avail.(q) <- finish.(v);
     ready := List.filter (fun x -> x <> v) !ready;
-    Array.iter
-      (fun w ->
+    Dag.iter_succ dag v (fun w ->
         remaining.(w) <- remaining.(w) - 1;
         if remaining.(w) = 0 then ready := w :: !ready)
-      (Dag.succ dag v)
   in
   let pick_bl_est () =
     match !ready with

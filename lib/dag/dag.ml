@@ -32,11 +32,6 @@ let comm g v = g.comm.(v)
 let in_degree g v = g.pred_off.(v + 1) - g.pred_off.(v)
 let out_degree g v = g.succ_off.(v + 1) - g.succ_off.(v)
 
-(* Cold-path accessors: each call allocates a fresh slice. Hot loops use
-   the iterators below or the raw offsets/targets arrays directly. *)
-let succ g v = Array.sub g.succ_tgt g.succ_off.(v) (out_degree g v)
-let pred g v = Array.sub g.pred_tgt g.pred_off.(v) (in_degree g v)
-
 let succ_offsets g = g.succ_off
 let succ_targets g = g.succ_tgt
 let pred_offsets g = g.pred_off
@@ -534,13 +529,3 @@ let structural_hash g =
   let h = Fnv.int_array h g.succ_tgt in
   let h = Fnv.int_array h g.work in
   Fnv.int_array h g.comm
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>dag: %d nodes, %d edges@," g.n (num_edges g);
-  for u = 0 to g.n - 1 do
-    Format.fprintf fmt "  %d (w=%d c=%d) -> %a@," u g.work.(u) g.comm.(u)
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ")
-         Format.pp_print_int)
-      (Array.to_list (succ g u))
-  done;
-  Format.fprintf fmt "@]"

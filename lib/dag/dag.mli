@@ -18,9 +18,10 @@
     segment sorted ascending — and the topological order/rank caches
     are computed eagerly at construction (DESIGN.md Section 5f). A
     built value therefore contains no mutable state at all and can be
-    shared freely across domains. Hot loops should use the zero-
-    allocation iterators ({!iter_succ} and friends) or the raw CSR
-    accessors; {!succ}/{!pred} allocate a fresh slice per call. *)
+    shared freely across domains. Adjacency is read through the
+    zero-allocation iterators ({!iter_succ} and friends), which visit a
+    segment in ascending order, or, in the tightest loops, through the
+    raw CSR arrays. *)
 
 type t
 
@@ -33,13 +34,6 @@ val of_edges : n:int -> edges:(int * int) list -> work:int array -> comm:int arr
     do not have length [n], any weight is negative, or the edge set
     contains a directed cycle. *)
 
-val of_edges_unchecked : n:int -> edges:(int * int) list -> work:int array -> comm:int array -> t
-(** Same as {!of_edges} but intended for callers that constructed the
-    edges acyclic by design. The eager topological sort still witnesses
-    acyclicity as a by-product; if the promise is broken this raises
-    [Failure "Dag: graph contains a directed cycle"] (the same error the
-    lazy cache historically raised on first topo access). *)
-
 val of_csr_unchecked :
   n:int -> succ_off:int array -> succ_tgt:int array -> work:int array -> comm:int array -> t
 (** Build directly from a successor CSR the caller already holds in
@@ -48,9 +42,10 @@ val of_csr_unchecked :
     [succ_tgt] strictly increasing (sorted, duplicate- and
     self-loop-free) with in-range targets — raises [Invalid_argument]
     otherwise. The predecessor side and the topological caches are
-    derived here; acyclicity is witnessed exactly as in
-    {!of_edges_unchecked}. Ownership of all four arrays transfers to
-    the DAG (no copies), so the caller must not mutate them afterwards.
+    derived here; acyclicity is witnessed as a by-product of the eager
+    topological sort, which raises [Failure] on a cycle. Ownership of
+    all four arrays transfers to the DAG (no copies), so the caller must
+    not mutate them afterwards.
     This is the allocation-lean path for {!Coarsen.quotient}, which
     produces sorted segments by construction and would otherwise pay a
     tuple list plus a redundant sort per multilevel refinement
@@ -68,14 +63,6 @@ val work : t -> int -> int
 
 val comm : t -> int -> int
 (** [comm g v] is [c v]. *)
-
-val succ : t -> int -> int array
-(** Direct successors of a node, sorted ascending. Allocates a fresh
-    slice per call — fine on cold paths, use {!iter_succ} in hot loops. *)
-
-val pred : t -> int -> int array
-(** Direct predecessors of a node, sorted ascending. Allocates a fresh
-    slice per call — fine on cold paths, use {!iter_pred} in hot loops. *)
 
 val in_degree : t -> int -> int
 val out_degree : t -> int -> int
@@ -171,10 +158,6 @@ val induced_subgraph : t -> int list -> t * int array
 (** [induced_subgraph g nodes] keeps only [nodes] and the edges between
     them. Returns the sub-DAG and the new-id -> old-id map. *)
 
-val map_weights : t -> work:(int -> int) -> comm:(int -> int) -> t
-(** Rebuild the DAG with new weights; [work v] and [comm v] receive the
-    node id. *)
-
 (** {1 Content addressing} *)
 
 val structural_hash : t -> Fnv.t
@@ -197,6 +180,3 @@ val assign_paper_weights : t -> t
     [w = indeg - 1] with sources forced to 1); concretely
     [w v = 1] if [v] is a source, [indeg v - 1] otherwise, and
     [c v = 1] for every node. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: size summary plus adjacency. *)

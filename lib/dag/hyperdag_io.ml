@@ -1,22 +1,15 @@
 let to_buffer buf g =
   let n = Dag.n g in
   Buffer.add_string buf "% hyperDAG: one hyperedge per non-sink node; first pin is the source\n";
-  let hyperedges = ref [] in
-  let num_pins = ref 0 in
-  for u = n - 1 downto 0 do
-    let s = Dag.succ g u in
-    if Array.length s > 0 then begin
-      hyperedges := (u, s) :: !hyperedges;
-      num_pins := !num_pins + 1 + Array.length s
-    end
-  done;
+  let sources = List.filter (fun u -> Dag.out_degree g u > 0) (List.init n Fun.id) in
   Buffer.add_string buf
-    (Printf.sprintf "%d %d %d\n" (List.length !hyperedges) n !num_pins);
+    (Printf.sprintf "%d %d %d\n" (List.length sources) n
+       (List.length sources + Dag.num_edges g));
   List.iteri
-    (fun e (u, s) ->
+    (fun e u ->
       Buffer.add_string buf (Printf.sprintf "%d %d\n" e u);
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" e v)) s)
-    !hyperedges;
+      Dag.iter_succ g u (fun v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" e v)))
+    sources;
   for v = 0 to n - 1 do
     Buffer.add_string buf (Printf.sprintf "%d %d %d\n" v (Dag.work g v) (Dag.comm g v))
   done
@@ -26,8 +19,7 @@ let to_string g =
   to_buffer buf g;
   Buffer.contents buf
 
-let write oc g = output_string oc (to_string g)
-let write_file path g = Atomic_file.write path (fun oc -> write oc g)
+let write_file path g = Atomic_file.write_string path (to_string g)
 
 (* Parsing: split the whole input into significant lines first, then
    consume counts. *)
@@ -107,9 +99,7 @@ let of_string text =
     (try Dag.of_edges ~n:num_n ~edges:!edges ~work ~comm
      with Invalid_argument msg -> failwith ("Hyperdag_io: " ^ msg))
 
-let read ic = of_string (In_channel.input_all ic)
-
-let read_file path = In_channel.with_open_bin path read
+let read_file path = In_channel.with_open_bin path (fun ic -> of_string (In_channel.input_all ic))
 
 (* ------------------------------------------------------------------ *)
 (* Binary format (DESIGN.md Section 5h).

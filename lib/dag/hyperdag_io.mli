@@ -38,16 +38,8 @@
     ({!Atomic_file}), so round-trips are byte-exact on every platform
     and a killed writer never leaves a torn file. *)
 
-val write : out_channel -> Dag.t -> unit
-(** Serialise a DAG in hyperDAG format. One hyperedge per node with at
-    least one successor. *)
-
 val write_file : string -> Dag.t -> unit
 (** Atomic: temp file + rename, see {!Atomic_file.write}. *)
-
-val read : in_channel -> Dag.t
-(** Parse a hyperDAG file; raises [Failure] with a descriptive message on
-    malformed input (bad counts, out-of-range pins, cyclic structure). *)
 
 val read_file : string -> Dag.t
 
@@ -59,23 +51,13 @@ val of_string : string -> Dag.t
 val binary_magic : string
 (** ["BHDG1\n"] — the first six bytes of every binary hyperDAG. *)
 
-val write_binary : out_channel -> Dag.t -> unit
 val write_binary_file : string -> Dag.t -> unit
-
-val read_binary : in_channel -> Dag.t
-(** Streaming decode; raises [Failure] on bad magic, truncation,
-    declared-count mismatches, out-of-range successors or trailing
-    bytes. *)
 
 val read_binary_file : string -> Dag.t
 val to_binary_string : Dag.t -> string
 val of_binary_string : string -> Dag.t
 
 (** {1 Format sniffing} *)
-
-val read_auto : in_channel -> Dag.t
-(** Read either format: input starting with {!binary_magic} is decoded
-    as binary (still streaming), anything else is parsed as text. *)
 
 val read_file_auto : string -> Dag.t
 (** The reader the CLI and the serve daemon use, so [.hdag] and

@@ -25,8 +25,5 @@ val all_algorithms : algorithm list
 val generate : algorithm -> iterations:int -> Dag.t
 (** Build the op-level DAG of [iterations] iterations. *)
 
-val nodes_per_iteration : algorithm -> int
-(** Size of one iteration's template, used to size instances. *)
-
 val generate_sized : algorithm -> target:int -> Dag.t
 (** Pick the iteration count so the DAG has roughly [target] nodes. *)

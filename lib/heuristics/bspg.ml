@@ -24,16 +24,11 @@ let schedule machine dag =
        candidate with u or one of u's direct successors already on q, add
        c(u)/outdeg(u) — the expected saving from never communicating u. *)
     let score q v =
-      Array.fold_left
-        (fun acc u ->
-          let near =
-            proc.(u) = q
-            || Array.exists (fun w -> proc.(w) = q) (Dag.succ dag u)
-          in
+      Dag.fold_pred dag v ~init:0.0 (fun acc u ->
+          let near = proc.(u) = q || Dag.exists_succ dag u (fun w -> proc.(w) = q) in
           if near then
             acc +. (float_of_int (Dag.comm dag u) /. float_of_int (Dag.out_degree dag u))
           else acc)
-        0.0 (Dag.pred dag v)
     in
     let choose_node q =
       let candidates =
@@ -83,21 +78,17 @@ let schedule machine dag =
       running.(q) <- (-1);
       finish_time.(q) <- max_int;
       free.(q) <- true;
-      Array.iter
-        (fun u ->
+      Dag.iter_succ dag v (fun u ->
           remaining.(u) <- remaining.(u) - 1;
           if remaining.(u) = 0 then begin
             ready := Int_set.add u !ready;
             (* u joins q's private pool when every predecessor is on q or
                in an earlier superstep. *)
             let local =
-              Array.for_all
-                (fun u0 -> proc.(u0) = q || step.(u0) < !superstep)
-                (Dag.pred dag u)
+              Dag.for_all_pred dag u (fun u0 -> proc.(u0) = q || step.(u0) < !superstep)
             in
             if local then ready_p.(q) <- Int_set.add u ready_p.(q)
           end)
-        (Dag.succ dag v)
     in
     while !unassigned > 0 do
       if not !end_step then assignment_round ();

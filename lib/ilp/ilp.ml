@@ -7,11 +7,10 @@ type t = {
   mutable nvars : int;
   mutable nbin : int;
   mutable rows : ((var * float) list * Simplex.sense * float) list;  (* reversed *)
-  mutable nrows : int;
   mutable obj : (var * float) list;
 }
 
-let create () = { vars = []; nvars = 0; nbin = 0; rows = []; nrows = 0; obj = [] }
+let create () = { vars = []; nvars = 0; nbin = 0; rows = []; obj = [] }
 
 let add_var t info =
   let id = t.nvars in
@@ -28,11 +27,8 @@ let continuous t ?(lb = 0.0) ?(ub = infinity) name =
 
 let num_vars t = t.nvars
 let num_binaries t = t.nbin
-let num_constraints t = t.nrows
 
 let var_array t = Array.of_list (List.rev t.vars)
-
-let var_name t v = (List.nth (List.rev t.vars) v).name
 
 let is_binary t v = (List.nth (List.rev t.vars) v).binary
 
@@ -44,8 +40,7 @@ let check_row t coeffs =
 
 let add_row t coeffs sense b =
   check_row t coeffs;
-  t.rows <- (coeffs, sense, b) :: t.rows;
-  t.nrows <- t.nrows + 1
+  t.rows <- (coeffs, sense, b) :: t.rows
 
 let add_le t coeffs b = add_row t coeffs Simplex.Le b
 let add_ge t coeffs b = add_row t coeffs Simplex.Ge b
@@ -54,9 +49,6 @@ let add_eq t coeffs b = add_row t coeffs Simplex.Eq b
 let set_objective t coeffs =
   check_row t coeffs;
   t.obj <- coeffs
-
-let objective_value t x =
-  List.fold_left (fun acc (v, c) -> acc +. (c *. x.(v))) 0.0 t.obj
 
 let constraints_satisfied ?(tol = 1e-6) t x =
   let vars = var_array t in

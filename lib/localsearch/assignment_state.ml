@@ -1,8 +1,7 @@
 type t = {
   dag : Dag.t;
-  (* Aliases of the DAG's CSR adjacency arrays: with the flat
-     representation, [Dag.succ]/[Dag.pred] allocate a slice per call, so
-     every hot loop below walks offsets/targets directly instead. *)
+  (* Aliases of the DAG's CSR adjacency arrays: every hot loop below
+     walks offsets/targets directly rather than through closures. *)
   soff : int array;
   stgt : int array;
   poff : int array;
@@ -114,7 +113,6 @@ type t = {
 
 let no_need = max_int
 
-let machine t = t.machine_
 let num_steps t = t.num_steps_
 let proc t v = t.proc_.(v)
 let step t v = t.step_.(v)

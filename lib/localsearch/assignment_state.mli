@@ -74,7 +74,6 @@ val release_clone : t -> unit
 (** Return a {!clone_for_scan} clone's scratch to the clone pool and
     invalidate it. Safe while the parent is still live. *)
 
-val machine : t -> Machine.t
 val num_steps : t -> int
 val proc : t -> int -> int
 val step : t -> int -> int
@@ -196,7 +195,7 @@ val check_consistent : t -> unit
 
 val snapshot : t -> Schedule.t
 (** The current placement as a schedule with lazy communication —
-    replicated ({!Schedule.lazy_comm_replicated}) when the state holds
+    replica-aware ({!Schedule.of_assignment_replicated}) when the state holds
     replicas, plain otherwise. *)
 
 val assignment : t -> int array * int array

@@ -15,7 +15,6 @@ type contraction = { kept : int; removed : int }
 type members = { mutable arr : int array; mutable len : int }
 
 type t = {
-  original : Dag.t;
   (* Sorted dynamic adjacency: segment [adj.(v).(0 .. len.(v) - 1)]. *)
   succ_a : int array array;
   succ_len : int array;
@@ -112,7 +111,6 @@ let start dag =
   let soff = Dag.succ_offsets dag and stgt = Dag.succ_targets dag in
   let poff = Dag.pred_offsets dag and ptgt = Dag.pred_targets dag in
   {
-    original = dag;
     succ_a =
       Array.init n (fun v -> Array.sub stgt soff.(v) (soff.(v + 1) - soff.(v)));
     succ_len = Array.init n (fun v -> soff.(v + 1) - soff.(v));
@@ -144,7 +142,6 @@ let start dag =
     match_gen = 0;
   }
 
-let original t = t.original
 let num_alive t = t.alive_count
 let alive t v = t.alive_flag.(v)
 let owner t v = t.owner_of.(v)

@@ -29,8 +29,6 @@ type contraction = {
 
 val start : Dag.t -> t
 
-val original : t -> Dag.t
-
 val num_alive : t -> int
 (** Current number of coarse nodes. *)
 

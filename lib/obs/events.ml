@@ -99,7 +99,7 @@ let enable ?(capacity = default_capacity) () =
          st_gen = !gen_counter;
          st_capacity = cap;
          st_mask = cap - 1;
-         st_t0 = Clock.now ();
+         st_t0 = Time_source.now ();
          st_m = Mutex.create ();
          st_buffers = [];
        });
@@ -144,22 +144,22 @@ let record_at st ts tag kind arg =
 let begin_ ?(arg = 0) k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_begin k arg
+  | Some st -> record_at st (Time_source.now ()) ph_begin k arg
 
 let end_ ?(arg = 0) k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_end k arg
+  | Some st -> record_at st (Time_source.now ()) ph_end k arg
 
 let instant ?(arg = 0) k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_instant k arg
+  | Some st -> record_at st (Time_source.now ()) ph_instant k arg
 
 let sample k v =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_sample k v
+  | Some st -> record_at st (Time_source.now ()) ph_sample k v
 
 let span_at ?(arg = 0) k ~start ~stop =
   match Atomic.get state with

@@ -23,7 +23,7 @@
     v}
 
     Event kinds are small integers interned once at module-init time
-    through {!register_kind}; timestamps come from {!Clock.now}. *)
+    through {!register_kind}; timestamps come from [Time_source.now]. *)
 
 type kind
 (** An interned event-kind identifier. *)

@@ -25,14 +25,10 @@ val to_string : t -> string
     printed with the fewest significant digits that parse back to the
     bit-identical value, so emit/parse round-trips exactly. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string_compact : t -> string
 (** Single-line rendering with no whitespace, for embedding JSON in log
     lines or size-sensitive outputs. Parses to the same value as
     {!to_string}. *)
-
-val to_buffer_compact : Buffer.t -> t -> unit
 
 val of_string : string -> t
 (** Raises {!Parse_error} on malformed input or trailing characters. *)

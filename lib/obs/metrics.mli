@@ -23,7 +23,7 @@
       its stage's {!Budget.t} also records the steps that budget
       consumed inside the span, so per-stage step accounting and timing
       come from a single source of truth. Wall-clock time is read
-      through {!Clock}, so tests can make span durations exact.
+      through [Time_source], so tests can make span durations exact.
 
     Instrumented modules record through the ambient entry points
     ({!counter}, {!gauge}, {!histogram}, {!with_span}, ...), which are
@@ -71,18 +71,13 @@ val observe : t -> string -> float -> unit
 
 val span : ?budget:Budget.t -> t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f], accumulating wall-clock time (via
-    {!Clock.now}; and, when [budget] is given, the budget steps
+    [Time_source.now]; and, when [budget] is given, the budget steps
     consumed by [f]) under the path formed by the enclosing spans and
     [name]. Exceptions propagate; the span still closes. *)
 
 val on_span_close : t -> (path:string -> seconds:float -> steps:int -> unit) -> unit
 (** Invoke a callback every time a span closes — the [--trace] CLI flag
     uses this for live per-stage summary lines. *)
-
-val set_series_cap : t -> int -> unit
-(** Change the per-series retention bound (clamped to >= 1). Applies to
-    subsequent appends; series already longer than the new cap shrink
-    as new points arrive. *)
 
 val series_cap : t -> int
 
@@ -157,7 +152,6 @@ val series_dropped : t -> string -> int
     (0 for unknown series). *)
 
 val histogram_stats : t -> string -> histogram_stats option
-val histogram_quantile : t -> string -> float -> float option
 
 val histogram_buckets : t -> string -> (float * int) list
 (** Non-empty buckets as [(upper_bound, count)] pairs in increasing
@@ -190,9 +184,6 @@ val to_prometheus : t -> string
 val write_prometheus_file : t -> string -> unit
 (** {!to_prometheus} through [Atomic_file] (temp + fsync + rename), so
     scrapers never see a partial snapshot. *)
-
-val pp : Format.formatter -> t -> unit
-(** Plain-text rendering of the snapshot. *)
 
 val log_summary : t -> unit
 (** Emit the snapshot as [Logs] app-level lines on the ["bsp.obs"]

@@ -174,7 +174,7 @@ let with_lazy_comm t =
   if has_replicas t then
     invalid_arg
       "Schedule.with_lazy_comm: schedule has replicas (use \
-       with_lazy_comm_replicated)";
+       of_assignment_replicated)";
   { t with comm = lazy_comm t.dag ~proc:t.proc ~step:t.step }
 
 (* Earliest step at which any placement (primary or replica) of [u]
@@ -247,9 +247,6 @@ let lazy_comm_replicated machine t =
     done;
     !acc
   end
-
-let with_lazy_comm_replicated machine t =
-  { t with comm = lazy_comm_replicated machine t }
 
 let of_assignment_replicated machine dag ~proc ~step ~replicas =
   let t = make_replicated dag ~proc ~step ~comm:[] ~replicas in
@@ -339,29 +336,3 @@ let compact ?(relazy = false) t =
       }
     end
   end
-
-let copy t =
-  {
-    t with
-    proc = Array.copy t.proc;
-    step = Array.copy t.step;
-    rep_off = Array.copy t.rep_off;
-    rep_proc = Array.copy t.rep_proc;
-    rep_step = Array.copy t.rep_step;
-  }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>schedule: %d nodes, %d supersteps, %d comm events"
-    (Dag.n t.dag) (num_supersteps t) (List.length t.comm);
-  if has_replicas t then Format.fprintf fmt ", %d replicas" (num_replicas t);
-  Format.fprintf fmt "@,";
-  for v = 0 to Dag.n t.dag - 1 do
-    Format.fprintf fmt "  node %d -> proc %d, step %d@," v t.proc.(v) t.step.(v);
-    iter_replicas t v (fun q s ->
-        Format.fprintf fmt "  node %d => replica on proc %d, step %d@," v q s)
-  done;
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  send %d: %d -> %d @@ phase %d@," e.node e.src e.dst e.step)
-    t.comm;
-  Format.fprintf fmt "@]"

@@ -116,15 +116,6 @@ val trivial : Dag.t -> t
 val lazy_comm : Dag.t -> proc:int array -> step:int array -> comm_event list
 (** Replica-unaware lazy schedule of a plain assignment. *)
 
-val lazy_comm_replicated : Machine.t -> t -> comm_event list
-(** Replica-aware lazy schedule: a consumer placement is locally
-    satisfied when some placement of the predecessor sits on its
-    processor at an earlier-or-equal step; each remaining (value,
-    destination) need is served once, in the last possible phase, from
-    the placement minimising [lambda (src, dst)] among those computed in
-    time (ties: primary first, then lowest replica processor). With an
-    empty replica table this is exactly [lazy_comm]. Ignores [t.comm]. *)
-
 val of_assignment : Dag.t -> proc:int array -> step:int array -> t
 (** Assignment plus its lazy communication schedule. Arrays are copied. *)
 
@@ -136,16 +127,19 @@ val of_assignment_replicated :
   replicas:(int * int * int) list ->
   t
 (** Replicated assignment plus its replica-aware lazy communication
-    schedule ({!lazy_comm_replicated}). *)
+    schedule: a consumer placement is locally satisfied when some
+    placement of the predecessor sits on its processor at an
+    earlier-or-equal step; each remaining (value, destination) need is
+    served once, in the last possible phase, from the placement
+    minimising [lambda (src, dst)] among those computed in time (ties:
+    primary first, then lowest replica processor). With no replicas
+    this is exactly {!of_assignment}. *)
 
 val with_lazy_comm : t -> t
 (** Replace [comm] by the lazy schedule of the assignment. Raises
     [Invalid_argument] on a replicated schedule — use
-    {!with_lazy_comm_replicated} there, which needs the machine's
+    {!of_assignment_replicated} there, which needs the machine's
     [lambda] to pick senders. *)
-
-val with_lazy_comm_replicated : Machine.t -> t -> t
-(** Replace [comm] by the replica-aware lazy schedule. *)
 
 val drop_replicas : t -> t
 (** Forget all replicas and re-derive the (plain) lazy communication
@@ -172,8 +166,3 @@ val compact : ?relazy:bool -> t -> t
 
 val used_supersteps : t -> int
 (** Number of distinct supersteps that contain at least one placement. *)
-
-val copy : t -> t
-(** Deep copy (fresh arrays; the DAG is shared, being immutable). *)
-
-val pp : Format.formatter -> t -> unit

@@ -103,12 +103,11 @@ let of_string dag text =
       Schedule.make_replicated dag ~proc ~step ~comm:events ~replicas
     end
 
-let write oc t = output_string oc (to_string t)
-let write_file path t = Atomic_file.write path (fun oc -> write oc t)
+let write_file path t = Atomic_file.write_string path (to_string t)
 
 (* One bulk read instead of the historical one-channel-read-per-byte
    loop: [Buffer.add_channel buf ic 1] paid a full channel dispatch for
    every byte, which is pathological for large schedules and for the
    serve daemon's cache-hit path. *)
-let read dag ic = of_string dag (In_channel.input_all ic)
-let read_file dag path = In_channel.with_open_bin path (read dag)
+let read_file dag path =
+  In_channel.with_open_bin path (fun ic -> of_string dag (In_channel.input_all ic))

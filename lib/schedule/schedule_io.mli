@@ -26,9 +26,9 @@
     ...
     v}
 
-    {!to_string}/{!write} emit v1 for replica-free schedules (so outputs
+    {!to_string}/{!write_file} emit v1 for replica-free schedules (so outputs
     of replication-free workflows stay byte-identical) and v2 as soon as
-    at least one replica exists. {!of_string}/{!read} accept both;
+    at least one replica exists. {!of_string}/{!read_file} accept both;
     version detection keys on the marker comment.
 
     The DAG itself is not stored; reading requires the DAG the schedule
@@ -36,12 +36,7 @@
     trailing non-comment lines beyond the counts declared in the header
     is rejected ([Failure]) rather than silently ignored. *)
 
-val write : out_channel -> Schedule.t -> unit
 val write_file : string -> Schedule.t -> unit
-
-val read : Dag.t -> in_channel -> Schedule.t
-(** Raises [Failure] with a descriptive message on malformed input,
-    including trailing garbage after the declared line counts. *)
 
 val read_file : Dag.t -> string -> Schedule.t
 

@@ -16,9 +16,6 @@
     field; the absolute scale is meaningless, the proportions are the
     point. Zero-duration slices are omitted. *)
 
-val to_json : Machine.t -> Schedule.t -> Obs.Json.t
-(** The trace as a JSON object: [{"traceEvents": [...], ...}]. *)
-
 val to_string : Machine.t -> Schedule.t -> string
 
 val write_file : string -> Machine.t -> Schedule.t -> unit

@@ -53,5 +53,4 @@ val store :
   Schedule.t ->
   unit
 
-val meta_path : dir:string -> string -> string
 val schedule_path : dir:string -> string -> string

@@ -90,7 +90,7 @@ let stats_json ~registry ~t0 ~id =
       ("id", Obs.Json.String id);
       ("status", Obs.Json.String "ok");
       ("type", Obs.Json.String "stats");
-      ("uptime_seconds", Obs.Json.Float (Obs.Clock.now () -. t0));
+      ("uptime_seconds", Obs.Json.Float (Time_source.now () -. t0));
       ("cache_hit_ratio", Obs.Json.Float hit_ratio);
       ("counters", section "counters");
       ("gauges", section "gauges");
@@ -191,7 +191,7 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
   let results =
     Par.map
       (fun (key, req) ->
-        let t_start = Obs.Clock.now () in
+        let t_start = Time_source.now () in
         let outcome =
           match
             Obs.Metrics.with_span "server/request" (fun () ->
@@ -200,7 +200,7 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
           | r -> Ok r
           | exception (Failure msg | Sys_error msg) -> Error msg
         in
-        (key, outcome, t_start, Obs.Clock.now () -. t_start))
+        (key, outcome, t_start, Time_source.now () -. t_start))
       (List.rev !leaders)
   in
   let result_of_key = Hashtbl.create 16 in
@@ -281,12 +281,12 @@ let run cfg =
       Obs.Metrics.install r;
       r
   in
-  let t0 = Obs.Clock.now () in
+  let t0 = Time_source.now () in
   (* Both snapshot formats refresh together, after every batch and at
      shutdown, each through Atomic_file — a scraper reading
      metrics.prom never sees a partial exposition. *)
   let write_metrics () =
-    Obs.Metrics.gauge "server.uptime_seconds" (Obs.Clock.now () -. t0);
+    Obs.Metrics.gauge "server.uptime_seconds" (Time_source.now () -. t0);
     Option.iter (Obs.Metrics.write_json_file registry) cfg.metrics_file;
     Option.iter (Obs.Metrics.write_prometheus_file registry) cfg.prometheus_file
   in
@@ -378,7 +378,7 @@ let run_stdio ~cache_dir ic oc =
       Obs.Metrics.install r;
       r
   in
-  let t0 = Obs.Clock.now () in
+  let t0 = Time_source.now () in
   let count = ref 0 in
   let rec loop () =
     match read_frame ic with
@@ -393,12 +393,12 @@ let run_stdio ~cache_dir ic oc =
           stats_json ~registry ~t0 ~id:stats_id
         | Request.Schedule req ->
           Obs.Metrics.counter "server.requests" 1;
-          let t_start = Obs.Clock.now () in
+          let t_start = Time_source.now () in
           let res =
             Obs.Metrics.with_span "server/request" (fun () ->
                 Engine.handle ~cache_dir req)
           in
-          let dt = Obs.Clock.now () -. t_start in
+          let dt = Time_source.now () -. t_start in
           Obs.Metrics.counter
             (counter_of_label (Engine.status_label res.Engine.status))
             1;

@@ -55,7 +55,7 @@
     partial file. [request_trace_file] writes a Chrome trace_event
     timeline of the request loop (one X slice per served request,
     cache status in [args]) at shutdown. All daemon timing reads
-    {!Obs.Clock}.
+    [Time_source.now].
 
     {b Shutdown.} Touching [<queue>/stop], SIGTERM or SIGINT all stop
     the loop after the in-flight batch; remaining metrics and trace are

@@ -6,15 +6,12 @@
     directories outlive processes, so the hash must be a pure function
     of the bytes fed in, stable across runs, platforms and OCaml
     versions. Fold-style API: start from {!init}, thread the
-    accumulator through {!byte}/{!int}/{!string}/{!int_array}. *)
+    accumulator through {!int}/{!string}/{!int_array}. *)
 
 type t = int64
 
 val init : t
 (** The FNV-1a 64-bit offset basis. *)
-
-val byte : t -> int -> t
-(** Fold one byte (low 8 bits of the argument). *)
 
 val int : t -> int -> t
 (** Fold an OCaml [int] as 8 little-endian bytes (sign-extended), so

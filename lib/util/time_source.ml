@@ -5,17 +5,11 @@
    clock so latency assertions stop depending on the host's scheduler.
 
    This lives in bsp_util (not lib/obs) because [Budget] needs it and
-   the obs layer sits above bsp_util; [Obs.Clock] re-exports it as the
-   public face of the observability stack. *)
+   the obs layer sits above bsp_util. *)
 
-let real : unit -> float = Unix.gettimeofday
-
-let source : (unit -> float) Atomic.t = Atomic.make real
+let source : (unit -> float) Atomic.t = Atomic.make Unix.gettimeofday
 
 let now () = (Atomic.get source) ()
-
-let set f = Atomic.set source f
-let reset () = Atomic.set source real
 
 let with_source f body =
   let prev = Atomic.get source in

@@ -7,21 +7,12 @@
     means for the whole process — tests install a deterministic fake
     clock and assert exact span durations instead of sleeping.
 
-    The source is a process-wide atomic: {!set}/{!with_source} are
-    meant for single-threaded test setup, not for concurrent
-    replacement mid-run. [Obs.Clock] re-exports this interface. *)
-
-val real : unit -> float
-(** The default source: [Unix.gettimeofday]. *)
+    The source is a process-wide atomic, [Unix.gettimeofday] by
+    default: {!with_source} is meant for single-threaded test setup,
+    not for concurrent replacement mid-run. *)
 
 val now : unit -> float
 (** The current time according to the installed source. *)
-
-val set : (unit -> float) -> unit
-(** Replace the process-wide time source. *)
-
-val reset : unit -> unit
-(** Restore {!real}. *)
 
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** Run the callback with the source temporarily replaced

@@ -191,12 +191,10 @@ let prop_has_path =
       let order = Dag.topological_order g in
       for i = n - 1 downto 0 do
         let u = order.(i) in
-        Array.iter
-          (fun w ->
+        Dag.iter_succ g u (fun w ->
             for x = 0 to n - 1 do
               if reach.(w).(x) then reach.(u).(x) <- true
             done)
-          (Dag.succ g u)
       done;
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -271,8 +269,8 @@ let arb_raw_edges =
 
 (* Property: the CSR representation built by of_edges is semantically
    identical to a naive adjacency model of the same edge list — edge
-   count after dedup, sorted succ/pred sets, degrees, the zero-alloc
-   iterators, the raw offset/target arrays, has_edge, and topological
+   count after dedup, degrees, all four iterator families in both
+   directions, the raw offset/target arrays, has_edge, and topological
    order validity all agree. *)
 let prop_csr_matches_model =
   Test_util.qtest ~count:200 "CSR structure matches edge-list model" arb_raw_edges
@@ -299,18 +297,39 @@ let prop_csr_matches_model =
         && poff.(n) = Array.length ptgt
         && Array.length stgt = Dag.num_edges g
         && Array.length ptgt = Dag.num_edges g;
+      (* iter and fold visit the sorted reference segment in order;
+         exists and for_all agree with the list versions at every
+         threshold, and exists stops at the first matching element. *)
+      let iterators_agree (iter, fold, exists, for_all) v expected =
+        let via_iter = ref [] in
+        iter g v (fun w -> via_iter := w :: !via_iter);
+        let via_fold = fold g v ~init:[] (fun acc w -> w :: acc) in
+        let rec visited_until t = function
+          | [] -> 0
+          | w :: rest -> if w >= t then 1 else 1 + visited_until t rest
+        in
+        List.rev !via_iter = expected
+        && List.rev via_fold = expected
+        && List.for_all
+             (fun t ->
+               let seen = ref 0 in
+               let found =
+                 exists g v (fun w ->
+                     incr seen;
+                     w >= t)
+               in
+               found = List.exists (fun w -> w >= t) expected
+               && !seen = visited_until t expected
+               && for_all g v (fun w -> w < t) = List.for_all (fun w -> w < t) expected)
+             (List.init (n + 1) Fun.id)
+      in
+      let succ_iterators = (Dag.iter_succ, Dag.fold_succ, Dag.exists_succ, Dag.for_all_succ) in
+      let pred_iterators = (Dag.iter_pred, Dag.fold_pred, Dag.exists_pred, Dag.for_all_pred) in
       for v = 0 to n - 1 do
-        (* Allocating slices vs the reference model (sorted ascending). *)
-        ok := !ok && Array.to_list (Dag.succ g v) = succ_ref.(v);
-        ok := !ok && Array.to_list (Dag.pred g v) = pred_ref.(v);
         ok := !ok && Dag.out_degree g v = List.length succ_ref.(v);
         ok := !ok && Dag.in_degree g v = List.length pred_ref.(v);
-        (* Zero-allocation iterators visit the same elements in order. *)
-        let via_iter = ref [] in
-        Dag.iter_succ g v (fun w -> via_iter := w :: !via_iter);
-        ok := !ok && List.rev !via_iter = succ_ref.(v);
-        let via_fold = Dag.fold_pred g v ~init:[] (fun acc u -> u :: acc) in
-        ok := !ok && List.rev via_fold = pred_ref.(v);
+        ok := !ok && iterators_agree succ_iterators v succ_ref.(v);
+        ok := !ok && iterators_agree pred_iterators v pred_ref.(v);
         (* Raw CSR segments are the same slices. *)
         ok :=
           !ok

@@ -85,6 +85,77 @@ let prop_bspg_sane_cost =
       let worst = Dag.total_work dag + (Dag.n dag * m.Machine.l) + (m.Machine.g * Dag.total_comm dag * Machine.max_lambda m * m.Machine.p) in
       Bsp_cost.total m s <= max worst 1)
 
+(* Golden initial schedules: cost and an FNV fingerprint of the
+   proc/step arrays of every initialiser on three fixed seeded instances
+   (step budgets only, so the result is deterministic). Any change to
+   the order in which these schedulers visit adjacency (float folds,
+   tie-breaks, ILP variable order) shows up as a different fingerprint. *)
+let golden_instances () =
+  let gen seed family =
+    Finegrained.generate_sized (Rng.create seed) ~family ~shape:Finegrained.Wide ~target:40
+  in
+  [
+    ("spmv/uniform", gen 11 Finegrained.Spmv, Machine.uniform ~p:4 ~g:3 ~l:5);
+    ("exp/numa", gen 12 Finegrained.Exp, Machine.numa_tree ~p:4 ~g:2 ~l:4 ~delta:3);
+    ("cg/uniform", gen 13 Finegrained.Cg, Machine.uniform ~p:2 ~g:1 ~l:10);
+  ]
+
+let golden_algorithms =
+  [
+    ("bspg", fun m d -> Bspg.schedule m d);
+    ("source", fun m d -> Source_heuristic.schedule m d);
+    ("cilk", fun m d -> Cilk.schedule d ~p:m.Machine.p ~seed:7);
+    ("hdagg", fun m d -> Hdagg.schedule m d);
+    ("etf", fun m d -> List_scheduler.schedule List_scheduler.Etf m d);
+    ("bl-est", fun m d -> List_scheduler.schedule List_scheduler.Bl_est m d);
+    ( "ilpinit",
+      fun m d -> Ilp_schedulers.init ~budget:(Budget.steps 60) ~max_vars:100 ~max_nodes:20 m d );
+  ]
+
+let golden =
+  [
+    ("spmv/uniform", "bspg", 52, "e8439f2c030857e5");
+    ("spmv/uniform", "source", 42, "e7a28de20ecd0585");
+    ("spmv/uniform", "cilk", 86, "8baeffcaf67a68e5");
+    ("spmv/uniform", "hdagg", 45, "280138970bf7b746");
+    ("spmv/uniform", "etf", 56, "70bdb7ffc092c107");
+    ("spmv/uniform", "bl-est", 53, "ac6a500bc1a0ee46");
+    ("spmv/uniform", "ilpinit", 160, "a2ac9b87582e47c4");
+    ("exp/numa", "bspg", 95, "50084f3dcb94f586");
+    ("exp/numa", "source", 101, "64b7172808e52365");
+    ("exp/numa", "cilk", 126, "fa13755b02f5e6e5");
+    ("exp/numa", "hdagg", 84, "bd71428acf6c4b87");
+    ("exp/numa", "etf", 101, "b28798094ee564e4");
+    ("exp/numa", "bl-est", 92, "bb0597c64b453c84");
+    ("exp/numa", "ilpinit", 161, "590c4b9e57097010");
+    ("cg/uniform", "bspg", 143, "13791f9682ca06ca");
+    ("cg/uniform", "source", 144, "74e4cd9385e860a2");
+    ("cg/uniform", "cilk", 126, "18b439ebeedeb727");
+    ("cg/uniform", "hdagg", 125, "e3e3a09c8cdfea01");
+    ("cg/uniform", "etf", 132, "d8f838fd53201307");
+    ("cg/uniform", "bl-est", 132, "808d3cf6427a5ca4");
+    ("cg/uniform", "ilpinit", 166, "36c7bb8fdd7a07e6");
+  ]
+
+let test_golden_initialisers () =
+  let row (iname, aname, cost, fingerprint) =
+    Printf.sprintf "%s %s cost=%d proc/step=%s" iname aname cost fingerprint
+  in
+  let actual =
+    List.concat_map
+      (fun (iname, dag, m) ->
+        List.map
+          (fun (aname, schedule) ->
+            let s : Schedule.t = schedule m dag in
+            let fingerprint =
+              Fnv.to_hex (Fnv.int_array (Fnv.int_array Fnv.init s.proc) s.step)
+            in
+            row (iname, aname, Bsp_cost.total m s, fingerprint))
+          golden_algorithms)
+      (golden_instances ())
+  in
+  Alcotest.(check (list string)) "initial schedules" (List.map row golden) actual
+
 let () =
   Alcotest.run "heuristics"
     [
@@ -103,4 +174,5 @@ let () =
           Alcotest.test_case "round robin balances" `Quick test_source_round_robin_balances;
         ] );
       ("property", [ prop_heuristics_valid; prop_bspg_sane_cost ]);
+      ("golden", [ Alcotest.test_case "initialisers unchanged" `Quick test_golden_initialisers ]);
     ]

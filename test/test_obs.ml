@@ -268,7 +268,7 @@ let test_series_cap_drops () =
   | None -> Alcotest.fail "series_dropped missing from JSON"
 
 (* ------------------------------------------------------------------ *)
-(* Clock: the pluggable time source makes span durations exact.        *)
+(* Time_source: the pluggable clock makes span durations exact.        *)
 
 let test_fake_clock_exact_span () =
   let t = ref 100.0 in
@@ -277,17 +277,17 @@ let test_fake_clock_exact_span () =
     !t
   in
   let r = Obs.Metrics.create () in
-  Obs.Clock.with_source fake (fun () ->
+  Time_source.with_source fake (fun () ->
       Obs.Metrics.span r "stage" (fun () -> ()));
   (match Obs.Metrics.span_list r with
    | [ s ] -> check_bool "exact seconds" true (s.Obs.Metrics.seconds = 1.5)
    | _ -> Alcotest.fail "expected exactly one span");
   (* The source is restored on exit. *)
-  check_bool "restored" true (Obs.Clock.now () > 1.0e9)
+  check_bool "restored" true (Time_source.now () > 1.0e9)
 
 let test_fake_clock_budget_deadline () =
   let t = ref 0.0 in
-  Obs.Clock.with_source
+  Time_source.with_source
     (fun () -> !t)
     (fun () ->
       let b = Budget.seconds 10.0 in
@@ -394,7 +394,7 @@ let test_events_ring_wrap () =
         (List.nth evs (List.length evs - 1)).Obs.Events.ev_arg)
 
 let test_events_chrome_trace () =
-  (* Deterministic timestamps via the fake clock: each Clock.now () call
+  (* Deterministic timestamps via the fake clock: each Time_source.now () call
      advances 1 ms, so the span's "dur" is exactly 2000 us (begin and
      end bracket one extra now() from the unclosed-span backstop? no:
      begin_, end_ are adjacent calls). *)
@@ -405,7 +405,7 @@ let test_events_chrome_trace () =
       Obs.Events.disable ();
       Sys.remove path)
     (fun () ->
-      Obs.Clock.with_source
+      Time_source.with_source
         (fun () ->
           t := !t +. 0.001;
           !t)
@@ -503,7 +503,11 @@ let test_pipeline_steps_accounting () =
     + Obs.Metrics.counter_value r "bb.nodes_explored"
   in
   check_bool "pipeline did work" true (span_total > 0);
-  check "span steps match engine counters" counter_total span_total
+  check "span steps match engine counters" counter_total span_total;
+  check_bool "superstep merge has its own span" true
+    (List.exists
+       (fun (s : Obs.Metrics.span_stats) -> s.Obs.Metrics.path = "pipeline/merge:bspg")
+       (Obs.Metrics.span_list r))
 
 let test_pipeline_metrics_json_valid () =
   let machine, dag = accounting_instance () in
