@@ -36,7 +36,7 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
   let n = Dag.n dag in
   let target = max 2 (int_of_float (ratio *. float_of_int n)) in
   let session = Coarsen.start dag in
-  Coarsen.coarsen_to ~strategy session ~target;
+  Obs.Metrics.with_span "coarsen" (fun () -> Coarsen.coarsen_to ~strategy session ~target);
   let qdag, rep_of_id = Coarsen.quotient session in
   Obs.Metrics.counter "multilevel.runs" 1;
   Obs.Metrics.counter "multilevel.contractions" (Coarsen.num_contractions session);
@@ -59,19 +59,20 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
       step_of.(r) <- coarse.Schedule.step.(i))
     rep_of_id;
   (* Uncoarsen in chunks, refining after each chunk. *)
-  let remaining = ref (Coarsen.num_contractions session) in
-  while !remaining > 0 do
-    let chunk = min refine_interval !remaining in
-    for _ = 1 to chunk do
-      match Coarsen.undo_last session with
-      | Some { Coarsen.kept; removed } ->
-        proc_of.(removed) <- proc_of.(kept);
-        step_of.(removed) <- step_of.(kept)
-      | None -> ()
-    done;
-    remaining := !remaining - chunk;
-    refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
-  done;
+  Obs.Metrics.with_span "uncoarsen" (fun () ->
+      let remaining = ref (Coarsen.num_contractions session) in
+      while !remaining > 0 do
+        let chunk = min refine_interval !remaining in
+        for _ = 1 to chunk do
+          match Coarsen.undo_last session with
+          | Some { Coarsen.kept; removed } ->
+            proc_of.(removed) <- proc_of.(kept);
+            step_of.(removed) <- step_of.(kept)
+          | None -> ()
+        done;
+        remaining := !remaining - chunk;
+        refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
+      done);
   Schedule.compact (Schedule.of_assignment dag ~proc:proc_of ~step:step_of)
 
 let run ?(config = default_config) ?budget ?shards ~solver machine dag =

@@ -60,4 +60,6 @@ val run_ratio :
   Schedule.t
 (** One coarsen-solve-refine pass at a single ratio; exposed for the
     C15-vs-C30 ablation (Table 13/14 rows) and the coarsening-strategy
-    ablation. [shards] as in {!run}. *)
+    ablation. [shards] as in {!run}. Coarsening and the
+    uncoarsen/refine loop run under the ["coarsen"] and ["uncoarsen"]
+    spans; the coarse solve nests whatever spans [solver] opens. *)

@@ -31,9 +31,10 @@ let phase_of_tag = function
   | _ -> Sample
 
 (* ------------------------------------------------------------------ *)
-(* Kind registry: global, append-only, tiny. Registration happens at
-   module-initialisation time (instrumented modules register their
-   kinds once); the record path never touches it. *)
+(* Kind registry: global, append-only, tiny. Fixed kinds are interned
+   at module initialisation; [Metrics] spans intern their names as they
+   open, but only while the recorder is on. The record path never
+   touches it. *)
 
 let kinds_m = Mutex.create ()
 let kinds : string array Atomic.t = Atomic.make [||]

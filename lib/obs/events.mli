@@ -10,8 +10,9 @@
 
     The recorder answers the question the abstract-cost schedule trace
     (PR 3) cannot: what did the {i solver} actually do on each domain,
-    in wall-clock time — task runs split from queue waits, batch
-    claims, GC pressure at batch boundaries. {!write_chrome_trace}
+    in wall-clock time — the pipeline stages (every {!Metrics} span
+    records here), task runs split from queue waits, batch claims, GC
+    pressure at batch boundaries. {!write_chrome_trace}
     exports one Perfetto track per domain.
 
     Typical flow:
@@ -22,15 +23,18 @@
     Obs.Events.write_chrome_trace "flight.json"
     v}
 
-    Event kinds are small integers interned once at module-init time
-    through {!register_kind}; timestamps come from [Time_source.now]. *)
+    Event kinds are small integers interned through {!register_kind};
+    timestamps come from [Time_source.now]. *)
 
 type kind
 (** An interned event-kind identifier. *)
 
 val register_kind : string -> kind
 (** Intern a kind by name (idempotent: the same name yields the same
-    kind). Call once at module initialisation, not on hot paths. *)
+    kind) — a mutex plus a scan of the small kind table. Modules with
+    fixed kinds intern them once at initialisation; {!Metrics} spans
+    intern their names as they open, only while the recorder is on.
+    Too slow for per-iteration paths. *)
 
 val kind_name : kind -> string
 

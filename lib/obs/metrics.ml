@@ -72,7 +72,8 @@ type histogram_stats = {
   p99 : float;
 }
 
-let default_series_cap = 10_000
+(* Points a series retains before evicting its oldest. *)
+let series_cap = 10_000
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -80,26 +81,22 @@ type t = {
   series : (string, series) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   span_table : (string, span) Hashtbl.t;
-  series_cap : int;
   mutable stack : string list;  (* enclosing span names, innermost first *)
   mutable on_span_close : (path:string -> seconds:float -> steps:int -> unit) option;
 }
 
-let create ?(series_cap = default_series_cap) () =
+let create () =
   {
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     series = Hashtbl.create 8;
     histograms = Hashtbl.create 8;
     span_table = Hashtbl.create 16;
-    series_cap = max 1 series_cap;
     stack = [];
     on_span_close = None;
   }
 
 let on_span_close t f = t.on_span_close <- Some f
-
-let series_cap t = t.series_cap
 
 (* ------------------------------------------------------------------ *)
 (* Recording against an explicit registry.                             *)
@@ -131,9 +128,9 @@ let series_slot t name =
     Hashtbl.add t.series name s;
     s
 
-let push_point t s pt =
+let push_point s pt =
   s.s_back <- pt :: s.s_back;
-  if s.s_len >= t.series_cap then begin
+  if s.s_len >= series_cap then begin
     if s.s_front = [] then begin
       s.s_front <- List.rev s.s_back;
       s.s_back <- []
@@ -143,7 +140,7 @@ let push_point t s pt =
   end
   else s.s_len <- s.s_len + 1
 
-let point t name ~label v = push_point t (series_slot t name) (label, v)
+let point t name ~label v = push_point (series_slot t name) (label, v)
 
 let histogram_slot t name =
   match Hashtbl.find_opt t.histograms name with
@@ -178,32 +175,47 @@ let span_record t path =
     Hashtbl.add t.span_table path s;
     s
 
+(* Every span is also a begin/end pair on the flight recorder, on the
+   ring of the domain that runs it, with a kind named after the span
+   (not its path: nesting on the timeline already shows the
+   hierarchy). The kind is interned only while the recorder is on, so
+   an unrecorded span pays one atomic load for this. *)
+let flight name f =
+  if not (Events.enabled ()) then f ()
+  else begin
+    let k = Events.register_kind name in
+    Events.begin_ k;
+    Fun.protect ~finally:(fun () -> Events.end_ k) f
+  end
+
 let span ?budget t name f =
-  let path = String.concat "/" (List.rev (name :: t.stack)) in
-  t.stack <- name :: t.stack;
-  let t0 = Time_source.now () in
-  let steps0 = match budget with None -> 0 | Some b -> Budget.used_steps b in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Time_source.now () -. t0 in
-      let dsteps =
-        match budget with None -> 0 | Some b -> Budget.used_steps b - steps0
-      in
-      (match t.stack with _ :: rest -> t.stack <- rest | [] -> ());
-      let s = span_record t path in
-      s.calls <- s.calls + 1;
-      s.seconds <- s.seconds +. dt;
-      s.steps <- s.steps + dsteps;
-      match t.on_span_close with
-      | Some g -> g ~path ~seconds:dt ~steps:dsteps
-      | None -> ())
-    f
+  flight name (fun () ->
+      let path = String.concat "/" (List.rev (name :: t.stack)) in
+      t.stack <- name :: t.stack;
+      let t0 = Time_source.now () in
+      let steps0 = match budget with None -> 0 | Some b -> Budget.used_steps b in
+      Fun.protect
+        ~finally:(fun () ->
+          let dt = Time_source.now () -. t0 in
+          let dsteps =
+            match budget with None -> 0 | Some b -> Budget.used_steps b - steps0
+          in
+          (match t.stack with _ :: rest -> t.stack <- rest | [] -> ());
+          let s = span_record t path in
+          s.calls <- s.calls + 1;
+          s.seconds <- s.seconds +. dt;
+          s.steps <- s.steps + dsteps;
+          match t.on_span_close with
+          | Some g -> g ~path ~seconds:dt ~steps:dsteps
+          | None -> ())
+        f)
 
 (* ------------------------------------------------------------------ *)
 (* The ambient registry. Instrumented modules record through these
    no-op-when-absent entry points, so uninstrumented runs (the default,
    including every benchmark loop) pay one domain-local load per stage
-   and nothing per inner-loop iteration.
+   (plus the recorder check above per span) and nothing per inner-loop
+   iteration.
 
    The handle is domain-local (Domain.DLS), not a bare global: a
    registry is a single-writer structure, and under `Par` fan-out each
@@ -233,7 +245,7 @@ let series_point name ~label v =
 let histogram name v = match current () with None -> () | Some t -> observe t name v
 
 let with_span ?budget name f =
-  match current () with None -> f () | Some t -> span ?budget t name f
+  match current () with None -> flight name f | Some t -> span ?budget t name f
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out support: per-task child registries and their
@@ -246,7 +258,7 @@ let with_span ?budget name f =
    trace callbacks would otherwise fire concurrently from worker
    domains; merged spans still reach the final summary. *)
 let create_child parent =
-  let t = create ~series_cap:parent.series_cap () in
+  let t = create () in
   t.stack <- parent.stack;
   t
 
@@ -275,8 +287,8 @@ let merge_into ~into child =
          drop accounting apply to merged points too. *)
       let cs = Hashtbl.find child.series k in
       let s = series_slot into k in
-      List.iter (push_point into s) cs.s_front;
-      List.iter (push_point into s) (List.rev cs.s_back);
+      List.iter (push_point s) cs.s_front;
+      List.iter (push_point s) (List.rev cs.s_back);
       s.s_dropped <- s.s_dropped + cs.s_dropped)
     (sorted_keys child.series);
   List.iter

@@ -6,12 +6,11 @@
     - {b gauges} — last-writer-wins floats ("multilevel.coarse_nodes"),
       with a max-keeping variant for peaks ("hc.worklist_peak");
     - {b series} — ordered (label, value) points, used for the
-      pipeline's best-so-far cost trajectory. Retention is bounded per
-      series ({!series_cap}, default 10k points): appends beyond the
-      cap evict the oldest point and increment a per-series drop
-      counter that is part of every snapshot, so a long-running daemon
-      cannot grow its registry without limit and the truncation is
-      never silent;
+      pipeline's best-so-far cost trajectory. Retention is bounded at
+      10k points per series: appends beyond the cap evict the oldest
+      point and increment a per-series drop counter that is part of
+      every snapshot, so a long-running daemon cannot grow its
+      registry without limit and the truncation is never silent;
     - {b histograms} — log-bucketed (base-2, 64 buckets) value
       distributions with p50/p90/p99 summaries, used for per-task
       runtimes and request latencies. Buckets are a fixed flat array,
@@ -25,10 +24,16 @@
       come from a single source of truth. Wall-clock time is read
       through [Time_source], so tests can make span durations exact.
 
+    Spans are the one instrumentation point for both this registry and
+    the {!Events} flight recorder: while the recorder is on, every span
+    also records a begin/end pair whose kind is the span's name (not
+    its path), on the ring of the domain running it — registry or not.
+
     Instrumented modules record through the ambient entry points
     ({!counter}, {!gauge}, {!histogram}, {!with_span}, ...), which are
-    no-ops unless a registry is {!install}ed — default runs pay one
-    pointer load per stage and nothing per inner-loop iteration. *)
+    no-ops unless a registry is {!install}ed (spans still feed an
+    enabled recorder) — default runs pay one pointer load and one
+    atomic load per stage and nothing per inner-loop iteration. *)
 
 type t
 
@@ -44,9 +49,7 @@ type histogram_stats = {
   p99 : float;
 }
 
-val create : ?series_cap:int -> unit -> t
-(** [series_cap] bounds every series in this registry (default 10_000,
-    clamped to >= 1). *)
+val create : unit -> t
 
 (** {1 Recording against an explicit registry} *)
 
@@ -61,8 +64,8 @@ val set_max : t -> string -> float -> unit
 
 val point : t -> string -> label:string -> float -> unit
 (** Append a labelled point to series [name]. Once the series holds
-    {!series_cap} points, each append evicts the oldest point and
-    increments the series' drop counter (see {!series_dropped}). *)
+    10k points, each append evicts the oldest point and increments the
+    series' drop counter (see {!series_dropped}). *)
 
 val observe : t -> string -> float -> unit
 (** Record one value into histogram [name]. Non-positive values land in
@@ -73,13 +76,13 @@ val span : ?budget:Budget.t -> t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f], accumulating wall-clock time (via
     [Time_source.now]; and, when [budget] is given, the budget steps
     consumed by [f]) under the path formed by the enclosing spans and
-    [name]. Exceptions propagate; the span still closes. *)
+    [name]. While {!Events.enabled}, it also brackets [f] with
+    {!Events.begin_}/{!Events.end_} of the kind named [name].
+    Exceptions propagate; the span still closes. *)
 
 val on_span_close : t -> (path:string -> seconds:float -> steps:int -> unit) -> unit
 (** Invoke a callback every time a span closes — the [--trace] CLI flag
     uses this for live per-stage summary lines. *)
-
-val series_cap : t -> int
 
 (** {1 The ambient registry}
 
@@ -114,9 +117,9 @@ val with_registry : t -> (unit -> 'a) -> 'a
 val create_child : t -> t
 (** A fresh registry for one parallel task. It inherits the parent's
     currently-open span context, so spans recorded inside the task keep
-    the slash-joined paths they would have had sequentially, and the
-    parent's {!series_cap}; it does {i not} inherit the [on_span_close]
-    callback (live trace lines cover only the submitting domain). *)
+    the slash-joined paths they would have had sequentially; it does
+    {i not} inherit the [on_span_close] callback (live trace lines
+    cover only the submitting domain). *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into child] folds a child registry into [into]:
@@ -136,8 +139,9 @@ val histogram : string -> float -> unit
 (** Ambient {!observe}; no-op without an installed registry. *)
 
 val with_span : ?budget:Budget.t -> string -> (unit -> 'a) -> 'a
-(** Like {!span} on the ambient registry; just runs the callback when no
-    registry is installed. *)
+(** Like {!span} on the ambient registry. Without one it records no
+    metrics but still emits the span's flight events while the
+    recorder is on. *)
 
 (** {1 Reading and reporting} *)
 

@@ -5,7 +5,6 @@ type config = {
   once : bool;
   metrics_file : string option;
   prometheus_file : string option;
-  request_trace_file : string option;
 }
 
 let default_config ~queue_dir =
@@ -16,7 +15,6 @@ let default_config ~queue_dir =
     once = false;
     metrics_file = Some (Filename.concat queue_dir "metrics.json");
     prometheus_file = Some (Filename.concat queue_dir "metrics.prom");
-    request_trace_file = None;
   }
 
 let incoming_dir cfg = Filename.concat cfg.queue_dir "incoming"
@@ -113,43 +111,44 @@ let scan cfg =
   |> List.filter (fun n -> Filename.check_suffix n ".req")
   |> List.sort compare
 
-let counter_of_label = function
-  | "hit" -> "server.cache_hits"
-  | "miss" -> "server.cache_misses"
-  | "refresh" -> "server.cache_refreshes"
-  | "coalesced" -> "server.cache_coalesced"
-  | other -> "server.cache_" ^ other
+(* How a scheduling request was answered: the wire label in its
+   response, its counter, and its flight-recorder instant (kinds
+   interned at module init). *)
+type verdict = { label : string; counter : string; kind : Obs.Events.kind }
 
-type trace_event = {
-  ev_id : string;
-  ev_cache : string;
-  ev_ts : float;  (** µs since daemon start *)
-  ev_dur : float;  (** µs *)
-}
+let verdict label counter =
+  { label; counter; kind = Obs.Events.register_kind ("cache:" ^ label) }
 
-let write_request_trace path events =
-  let json =
-    Obs.Json.Obj
-      [
-        ( "traceEvents",
-          Obs.Json.List
-            (List.map
-               (fun e ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.String e.ev_id);
-                     ("cat", Obs.Json.String "request");
-                     ("ph", Obs.Json.String "X");
-                     ("ts", Obs.Json.Float e.ev_ts);
-                     ("dur", Obs.Json.Float e.ev_dur);
-                     ("pid", Obs.Json.Int 0);
-                     ("tid", Obs.Json.Int 0);
-                     ("args", Obs.Json.Obj [ ("cache", Obs.Json.String e.ev_cache) ]);
-                   ])
-               events) );
-      ]
+let hit = verdict "hit" "server.cache_hits"
+let miss = verdict "miss" "server.cache_misses"
+let refresh = verdict "refresh" "server.cache_refreshes"
+let coalesced = verdict "coalesced" "server.cache_coalesced"
+
+let verdict_of_status = function
+  | Engine.Hit -> hit
+  | Engine.Miss -> miss
+  | Engine.Refresh -> refresh
+
+(* Account one answered request: count its verdict, mark it on the
+   flight timeline and observe its latency. *)
+let account v seconds =
+  Obs.Metrics.counter v.counter 1;
+  Obs.Events.instant v.kind;
+  Obs.Metrics.histogram "server.request_seconds" seconds
+
+(* The one request path both transports share: [Engine.handle] timed
+   under the [server/request] span (which puts the request on the
+   flight timeline), then accounted. Returns the result, its verdict
+   and its latency; handling errors propagate unaccounted. *)
+let serve_request ~cache_dir req =
+  let t_start = Time_source.now () in
+  let res =
+    Obs.Metrics.with_span "server/request" (fun () -> Engine.handle ~cache_dir req)
   in
-  Atomic_file.write_string path (Obs.Json.to_string json ^ "\n")
+  let dt = Time_source.now () -. t_start in
+  let v = verdict_of_status res.Engine.status in
+  account v dt;
+  (res, v, dt)
 
 (* One queue batch: parse everything, coalesce duplicate content
    addresses, run one Engine task per distinct address on the Par pool,
@@ -157,8 +156,8 @@ let write_request_trace path events =
    request file removed last — a crash at any point either leaves the
    request queued for reprocessing, which the cache then answers, or
    fully answered; never half-answered). Stats probes are answered
-   inline from the live registry before the scheduling work runs. *)
-let process_batch cfg ~registry ~t0 ~trace_events names =
+   inline from the live registry after the scheduling work ran. *)
+let process_batch cfg ~registry ~t0 names =
   Obs.Metrics.counter "server.batches" 1;
   Obs.Metrics.gauge_max "server.queue_depth_peak" (float_of_int (List.length names));
   let incoming = incoming_dir cfg and finished = done_dir cfg in
@@ -191,23 +190,13 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
   let results =
     Par.map
       (fun (key, req) ->
-        let t_start = Time_source.now () in
-        let outcome =
-          match
-            Obs.Metrics.with_span "server/request" (fun () ->
-                Engine.handle ~cache_dir:cfg.cache_dir req)
-          with
-          | r -> Ok r
-          | exception (Failure msg | Sys_error msg) -> Error msg
-        in
-        (key, outcome, t_start, Time_source.now () -. t_start))
+        match serve_request ~cache_dir:cfg.cache_dir req with
+        | r -> (key, Ok r)
+        | exception (Failure msg | Sys_error msg) -> (key, Error msg))
       (List.rev !leaders)
   in
   let result_of_key = Hashtbl.create 16 in
-  List.iter
-    (fun (key, outcome, t_start, dt) ->
-      Hashtbl.replace result_of_key key (outcome, t_start, dt))
-    results;
+  List.iter (fun (key, outcome) -> Hashtbl.replace result_of_key key outcome) results;
   let respond_error ~base ~id msg =
     Obs.Metrics.counter "server.errors" 1;
     Atomic_file.write_string
@@ -228,21 +217,18 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
        | Ok (Request.Schedule req) ->
          Obs.Metrics.counter "server.requests" 1;
          let key = Engine.request_key req in
-         let outcome, t_start, dt = Hashtbl.find result_of_key key in
-         (match outcome with
+         (match Hashtbl.find result_of_key key with
           | Error msg -> respond_error ~base ~id:req.Request.id msg
-          | Ok (res : Engine.result) ->
-            let is_leader = Hashtbl.find leader_of key = name in
-            let cache_label =
-              if is_leader then Engine.status_label res.Engine.status
-              else "coalesced"
+          | Ok ((res : Engine.result), v, dt) ->
+            (* Coalesced followers waited out their leader's handling,
+               so they observe its [dt] but report 0 seconds. *)
+            let v, seconds =
+              if Hashtbl.find leader_of key = name then (v, dt)
+              else begin
+                account coalesced dt;
+                (coalesced, 0.0)
+              end
             in
-            Obs.Metrics.counter (counter_of_label cache_label) 1;
-            let seconds = if is_leader then dt else 0.0 in
-            (* Latency distribution, not an unbounded per-request
-               series: coalesced followers waited out the same handling
-               as their leader, so they observe the leader's [dt]. *)
-            Obs.Metrics.histogram "server.request_seconds" dt;
             let sched_rel = Filename.concat "done" (base ^ ".schedule") in
             Schedule_io.write_file
               (Filename.concat finished (base ^ ".schedule"))
@@ -250,20 +236,12 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
             Atomic_file.write_string
               (Filename.concat finished (base ^ ".resp.json"))
               (Obs.Json.to_string
-                 (ok_json ~id:req.Request.id ~cache:cache_label ~key:res.Engine.key
+                 (ok_json ~id:req.Request.id ~cache:v.label ~key:res.Engine.key
                     ~cost:res.Engine.cost
                     ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
                     ~seconds
                     [ ("schedule_file", Obs.Json.String sched_rel) ])
-              ^ "\n");
-            trace_events :=
-              {
-                ev_id = req.Request.id;
-                ev_cache = cache_label;
-                ev_ts = (t_start -. t0) *. 1e6;
-                ev_dur = dt *. 1e6 *. (if is_leader then 1.0 else 0.0);
-              }
-              :: !trace_events));
+              ^ "\n")));
       try Sys.remove (Filename.concat incoming name) with Sys_error _ -> ())
     parsed
 
@@ -290,7 +268,6 @@ let run cfg =
     Option.iter (Obs.Metrics.write_json_file registry) cfg.metrics_file;
     Option.iter (Obs.Metrics.write_prometheus_file registry) cfg.prometheus_file
   in
-  let trace_events = ref [] in
   let interrupted = ref false in
   let old_term = ref None and old_int = ref None in
   (try
@@ -310,7 +287,7 @@ let run cfg =
         Obs.Metrics.gauge "server.queue_depth" depth;
         Obs.Metrics.gauge_max "server.queue_depth_peak" depth;
         if pending <> [] && not !interrupted then begin
-          process_batch cfg ~registry ~t0 ~trace_events pending;
+          process_batch cfg ~registry ~t0 pending;
           write_metrics ();
           loop ()
         end
@@ -324,9 +301,6 @@ let run cfg =
       in
       loop ();
       write_metrics ();
-      Option.iter
-        (fun path -> write_request_trace path (List.rev !trace_events))
-        cfg.request_trace_file;
       (* Consume the stop marker so the next daemon on this queue does
          not exit immediately. *)
       try Sys.remove (stop_path cfg) with Sys_error _ -> ())
@@ -393,19 +367,9 @@ let run_stdio ~cache_dir ic oc =
           stats_json ~registry ~t0 ~id:stats_id
         | Request.Schedule req ->
           Obs.Metrics.counter "server.requests" 1;
-          let t_start = Time_source.now () in
-          let res =
-            Obs.Metrics.with_span "server/request" (fun () ->
-                Engine.handle ~cache_dir req)
-          in
-          let dt = Time_source.now () -. t_start in
-          Obs.Metrics.counter
-            (counter_of_label (Engine.status_label res.Engine.status))
-            1;
-          Obs.Metrics.histogram "server.request_seconds" dt;
-          ok_json ~id:req.Request.id
-            ~cache:(Engine.status_label res.Engine.status)
-            ~key:res.Engine.key ~cost:res.Engine.cost
+          let res, v, dt = serve_request ~cache_dir req in
+          ok_json ~id:req.Request.id ~cache:v.label ~key:res.Engine.key
+            ~cost:res.Engine.cost
             ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
             ~seconds:dt
             [

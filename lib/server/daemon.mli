@@ -52,14 +52,15 @@
     installed if absent) after every batch and at shutdown:
     [metrics_file] as JSON, [prometheus_file] as Prometheus text
     exposition — both via [Atomic_file], so scrapers never read a
-    partial file. [request_trace_file] writes a Chrome trace_event
-    timeline of the request loop (one X slice per served request,
-    cache status in [args]) at shutdown. All daemon timing reads
+    partial file. With the {!Obs.Events} flight recorder on, each
+    handled request is a [server/request] slice on the timeline of the
+    domain that ran it, and each answered request a
+    [cache:hit|miss|refresh|coalesced] instant. All daemon timing reads
     [Time_source.now].
 
     {b Shutdown.} Touching [<queue>/stop], SIGTERM or SIGINT all stop
-    the loop after the in-flight batch; remaining metrics and trace are
-    flushed and the stop marker is consumed. *)
+    the loop after the in-flight batch; remaining metrics are flushed
+    and the stop marker is consumed. *)
 
 type config = {
   queue_dir : string;
@@ -70,13 +71,12 @@ type config = {
   prometheus_file : string option;
       (** Prometheus text-exposition snapshot, refreshed with
           [metrics_file] *)
-  request_trace_file : string option;
 }
 
 val default_config : queue_dir:string -> config
 (** Cache in [<queue>/cache], 50 ms poll, metrics to
-    [<queue>/metrics.json], Prometheus to [<queue>/metrics.prom], no
-    request trace, [once = false]. *)
+    [<queue>/metrics.json], Prometheus to [<queue>/metrics.prom],
+    [once = false]. *)
 
 val run : config -> unit
 (** Run the daemon until a shutdown condition. Creates the queue and

@@ -66,8 +66,6 @@ let request_key (req : Request.t) =
 
 type status = Hit | Miss | Refresh
 
-let status_label = function Hit -> "hit" | Miss -> "miss" | Refresh -> "refresh"
-
 type result = { status : status; key : string; cost : int; schedule : Schedule.t }
 
 let compute_and_store ~cache_dir ~key ~cached (req : Request.t) =

@@ -43,10 +43,6 @@ type status =
           (warm-started for the pipeline), best of old and new kept,
           recorded budget topped up *)
 
-val status_label : status -> string
-(** ["hit"] / ["miss"] / ["refresh"] — the wire form in responses and
-    metric names. *)
-
 type result = { status : status; key : string; cost : int; schedule : Schedule.t }
 
 val handle : cache_dir:string -> Request.t -> result

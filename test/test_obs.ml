@@ -135,7 +135,20 @@ let test_metrics_span_paths_nest () =
     (List.find (fun (s : Obs.Metrics.span_stats) -> s.path = p) spans).Obs.Metrics.calls
   in
   check "repeated span accumulates calls" 2 (calls "pipeline/hc:bspg");
-  check "outer called once" 1 (calls "pipeline")
+  check "outer called once" 1 (calls "pipeline");
+  (* Multilevel attributes its coarsening and its uncoarsen/refine loop
+     under the ratio's span, beside the coarse solve's pipeline. *)
+  let ml = Obs.Metrics.create () in
+  ignore
+    (Obs.Metrics.with_registry ml (fun () ->
+         Pipeline.run_multilevel_ratio ~limits:Pipeline.fast_limits ~ratio:0.3
+           (Machine.uniform ~p:2 ~g:1 ~l:2) (Test_util.diamond ())));
+  let ml_paths =
+    List.map (fun (s : Obs.Metrics.span_stats) -> s.path) (Obs.Metrics.span_list ml)
+  in
+  List.iter
+    (fun p -> check_bool p true (List.mem p ml_paths))
+    [ "multilevel:0.3/coarsen"; "multilevel:0.3/pipeline"; "multilevel:0.3/uncoarsen" ]
 
 let test_metrics_span_records_budget_steps () =
   let r = Obs.Metrics.create () in
@@ -249,16 +262,21 @@ let prop_histogram_merge_matches_sequential =
          | Some a, Some b -> a = b
          | _ -> false))
 
+(* Every series keeps its newest 10k points. *)
+let series_cap = 10_000
+
 let test_series_cap_drops () =
-  let r = Obs.Metrics.create ~series_cap:5 () in
-  check "cap readable" 5 (Obs.Metrics.series_cap r);
-  for i = 1 to 8 do
+  let r = Obs.Metrics.create () in
+  for i = 1 to series_cap + 3 do
     Obs.Metrics.point r "s" ~label:(string_of_int i) (float_of_int i)
   done;
   check "dropped count" 3 (Obs.Metrics.series_dropped r "s");
+  let values = Obs.Metrics.series_values r "s" in
+  check "retains the cap" series_cap (List.length values);
   check_bool "keeps the newest points" true
-    (Obs.Metrics.series_values r "s"
-    = [ ("4", 4.0); ("5", 5.0); ("6", 6.0); ("7", 7.0); ("8", 8.0) ]);
+    (List.hd values = ("4", 4.0)
+    && List.nth values (series_cap - 1)
+       = (string_of_int (series_cap + 3), float_of_int (series_cap + 3)));
   (* The drop counter is part of the JSON snapshot. *)
   match Obs.Json.member "series_dropped" (Obs.Metrics.to_json r) with
   | Some dropped ->
@@ -301,13 +319,14 @@ let test_fake_clock_budget_deadline () =
 (* Prometheus text exposition.                                         *)
 
 let test_prometheus_exposition () =
-  let r = Obs.Metrics.create ~series_cap:1 () in
+  let r = Obs.Metrics.create () in
   Obs.Metrics.add r "server.requests" 3;
   Obs.Metrics.set r "server.queue_depth" 2.0;
   Obs.Metrics.observe r "req.seconds" 0.75;
   Obs.Metrics.observe r "req.seconds" 1.5;
-  Obs.Metrics.point r "s" ~label:"a" 1.0;
-  Obs.Metrics.point r "s" ~label:"b" 2.0;
+  for i = 0 to series_cap do
+    Obs.Metrics.point r "s" ~label:"p" (float_of_int i)
+  done;
   Obs.Metrics.with_registry r (fun () -> Obs.Metrics.with_span "stage" (fun () -> ()));
   let text = Obs.Metrics.to_prometheus r in
   let has line = List.mem line (String.split_on_char '\n' text) in
@@ -455,6 +474,120 @@ let test_events_chrome_trace () =
         (List.exists
            (fun ev -> Obs.Json.member "ph" ev = Some (Obs.Json.String "C"))
            events))
+
+(* ------------------------------------------------------------------ *)
+(* Spans on the flight timeline: a Metrics span is the one
+   instrumentation point, and feeds an enabled recorder whether or not
+   a registry is installed.                                            *)
+
+let with_recorder f =
+  Obs.Events.enable ();
+  Fun.protect ~finally:Obs.Events.disable f
+
+(* Run [f] under a fresh ambient registry, or with none installed. *)
+let with_ambient ~registry f =
+  if registry then Obs.Metrics.with_registry (Obs.Metrics.create ()) f
+  else begin
+    Obs.Metrics.clear ();
+    f ()
+  end
+
+(* (phase, kind name, timestamp) of every retained event, ring order. *)
+let flight_events () =
+  List.map
+    (fun (e : Obs.Events.event) -> Obs.Events.(e.ev_phase, kind_name e.ev_kind, e.ev_ts))
+    (Obs.Events.dump ())
+
+let test_span_flight_events ~registry () =
+  (* A settable fake clock: "a" opens at 1 and closes at 4, "b" spans
+     2 to 3. *)
+  let t = ref 0.0 in
+  let events =
+    with_recorder (fun () ->
+        Time_source.with_source
+          (fun () -> !t)
+          (fun () ->
+            with_ambient ~registry (fun () ->
+                t := 1.0;
+                Obs.Metrics.with_span "a" (fun () ->
+                    t := 2.0;
+                    Obs.Metrics.with_span "b" (fun () -> t := 3.0);
+                    t := 4.0)));
+        flight_events ())
+  in
+  check_bool "begin a, begin b, end b, end a at the fake times" true
+    (events
+    = Obs.Events.
+        [ (Begin, "a", 1.0); (Begin, "b", 2.0); (End, "b", 3.0); (End, "a", 4.0) ]);
+  (* A raising body still closes both spans. *)
+  let events =
+    with_recorder (fun () ->
+        with_ambient ~registry (fun () ->
+            try
+              Obs.Metrics.with_span "a" (fun () ->
+                  Obs.Metrics.with_span "b" (fun () -> failwith "boom"))
+            with Failure _ -> ());
+        List.map (fun (ph, k, _) -> (ph, k)) (flight_events ()))
+  in
+  check_bool "raise closes both spans" true
+    (events = Obs.Events.[ (Begin, "a"); (Begin, "b"); (End, "b"); (End, "a") ])
+
+let test_span_recorder_off () =
+  Obs.Events.disable ();
+  Obs.Metrics.with_registry (Obs.Metrics.create ()) (fun () ->
+      Obs.Metrics.with_span "a" (fun () -> ()));
+  check "no events while off" 0 (Obs.Events.recorded ());
+  with_recorder (fun () ->
+      Obs.Metrics.with_span "a" (fun () -> ());
+      check "a begin/end pair once on" 2 (Obs.Events.recorded ()))
+
+(* Spans inside Par tasks land on the worker's ring, nested in its
+   "task" slice. Each task sleeps so the submitter cannot drain the
+   whole batch before the workers claim some. *)
+let test_span_on_worker_ring ~registry () =
+  let work () =
+    Par.with_jobs 4 (fun () ->
+        ignore
+          (Par.map
+             (fun i ->
+               Obs.Metrics.with_span "work" (fun () ->
+                   Unix.sleepf 0.005;
+                   i))
+             (List.init 16 Fun.id)))
+  in
+  let events =
+    with_recorder (fun () ->
+        with_ambient ~registry work;
+        Obs.Events.dump ())
+  in
+  let on_ring d =
+    List.filter_map
+      (fun (e : Obs.Events.event) ->
+        let k = Obs.Events.kind_name e.Obs.Events.ev_kind in
+        if e.Obs.Events.ev_domain = d && (k = "task" || k = "work") then
+          Some (e.Obs.Events.ev_phase, k)
+        else None)
+      events
+  in
+  let rec nested = function
+    | Obs.Events.((Begin, "task") :: (Begin, "work") :: (End, "work") :: (End, "task") :: _)
+      ->
+      true
+    | _ :: rest -> nested rest
+    | [] -> false
+  in
+  let domains =
+    List.sort_uniq compare
+      (List.map (fun (e : Obs.Events.event) -> e.Obs.Events.ev_domain) events)
+  in
+  check "every span recorded" 16
+    (List.length
+       (List.filter
+          (fun (e : Obs.Events.event) ->
+            Obs.Events.(kind_name e.ev_kind = "work" && e.ev_phase = Begin))
+          events));
+  check_bool "a worker ring holds a span inside its task" true
+    (List.exists (fun d -> d > 0 && nested (on_ring d)) domains)
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline under a registry: step accounting, JSON validity, and
@@ -631,6 +764,16 @@ let () =
           Alcotest.test_case "record + dump" `Quick test_events_record_and_dump;
           Alcotest.test_case "ring wrap drops oldest" `Quick test_events_ring_wrap;
           Alcotest.test_case "chrome trace export" `Quick test_events_chrome_trace;
+          Alcotest.test_case "span events, no registry" `Quick
+            (test_span_flight_events ~registry:false);
+          Alcotest.test_case "span events, with registry" `Quick
+            (test_span_flight_events ~registry:true);
+          Alcotest.test_case "span records nothing while off" `Quick
+            test_span_recorder_off;
+          Alcotest.test_case "span on worker ring, no registry" `Quick
+            (test_span_on_worker_ring ~registry:false);
+          Alcotest.test_case "span on worker ring, with registry" `Quick
+            (test_span_on_worker_ring ~registry:true);
         ] );
       ( "pipeline",
         [

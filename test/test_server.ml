@@ -370,53 +370,71 @@ let write_request queue name ~seconds =
     body
 
 let test_daemon_once () =
-  with_tmp_dir "queue" (fun queue ->
-      Unix.mkdir (Filename.concat queue "incoming") 0o755;
-      (* batch 1: two identical requests -> one miss, one coalesced *)
-      write_request queue "a" ~seconds:0.2;
-      write_request queue "b" ~seconds:0.2;
-      let config =
-        { (Server.Daemon.default_config ~queue_dir:queue) with Server.Daemon.once = true }
-      in
-      Server.Daemon.run config;
-      let resp name = read_json (Filename.concat queue ("done/" ^ name ^ ".resp.json")) in
-      let a = resp "a" and b = resp "b" in
-      check_str "a ok" "ok" (str_field "status" a);
-      check_str "a is the miss" "miss" (str_field "cache" a);
-      check_str "b coalesced onto a" "coalesced" (str_field "cache" b);
-      check "same cost" (int_field "cost" a) (int_field "cost" b);
-      let sched name =
-        In_channel.with_open_bin
-          (Filename.concat queue ("done/" ^ name ^ ".schedule"))
-          In_channel.input_all
-      in
-      check_str "identical schedule files" (sched "a") (sched "b");
-      check_bool "requests consumed" true
-        (Sys.readdir (Filename.concat queue "incoming") = [||]);
-      (* batch 2 (fresh daemon run): same instance -> cache hit,
-         bit-identical to the miss *)
-      write_request queue "c" ~seconds:0.2;
-      Server.Daemon.run config;
-      let c = resp "c" in
-      check_str "c is a hit" "hit" (str_field "cache" c);
-      check "hit cost equals miss cost" (int_field "cost" a) (int_field "cost" c);
-      check_str "hit schedule is bit-identical" (sched "a") (sched "c");
-      (* a malformed request is answered with an error, not a crash *)
-      Atomic_file.write_string
-        (Filename.concat queue "incoming/bad.req")
-        "algorithm no-such-scheduler\np 2\nhyperdag\nnot a dag";
-      Server.Daemon.run config;
-      let bad = resp "bad" in
-      check_str "bad request errors" "error" (str_field "status" bad);
-      (* metrics snapshot: 1 miss, 1 coalesced, 1 hit, 1 error over the
-         three batches *)
-      let metrics = read_json (Filename.concat queue "metrics.json") in
-      let counters = field "counters" metrics in
-      check "one miss" 1 (int_field "server.cache_misses" counters);
-      check "one coalesced" 1 (int_field "server.cache_coalesced" counters);
-      check "one hit" 1 (int_field "server.cache_hits" counters);
-      check "one error" 1 (int_field "server.errors" counters);
-      check "four requests" 4 (int_field "server.requests" counters))
+  Obs.Events.enable ();
+  Fun.protect ~finally:Obs.Events.disable (fun () ->
+      with_tmp_dir "queue" (fun queue ->
+          Unix.mkdir (Filename.concat queue "incoming") 0o755;
+          (* batch 1: two identical requests -> one miss, one coalesced *)
+          write_request queue "a" ~seconds:0.2;
+          write_request queue "b" ~seconds:0.2;
+          let config =
+            { (Server.Daemon.default_config ~queue_dir:queue) with Server.Daemon.once = true }
+          in
+          Server.Daemon.run config;
+          let resp name = read_json (Filename.concat queue ("done/" ^ name ^ ".resp.json")) in
+          let a = resp "a" and b = resp "b" in
+          check_str "a ok" "ok" (str_field "status" a);
+          check_str "a is the miss" "miss" (str_field "cache" a);
+          check_str "b coalesced onto a" "coalesced" (str_field "cache" b);
+          check "same cost" (int_field "cost" a) (int_field "cost" b);
+          let sched name =
+            In_channel.with_open_bin
+              (Filename.concat queue ("done/" ^ name ^ ".schedule"))
+              In_channel.input_all
+          in
+          check_str "identical schedule files" (sched "a") (sched "b");
+          check_bool "requests consumed" true
+            (Sys.readdir (Filename.concat queue "incoming") = [||]);
+          (* batch 2 (fresh daemon run): same instance -> cache hit,
+             bit-identical to the miss *)
+          write_request queue "c" ~seconds:0.2;
+          Server.Daemon.run config;
+          let c = resp "c" in
+          check_str "c is a hit" "hit" (str_field "cache" c);
+          check "hit cost equals miss cost" (int_field "cost" a) (int_field "cost" c);
+          check_str "hit schedule is bit-identical" (sched "a") (sched "c");
+          (* a malformed request is answered with an error, not a crash *)
+          Atomic_file.write_string
+            (Filename.concat queue "incoming/bad.req")
+            "algorithm no-such-scheduler\np 2\nhyperdag\nnot a dag";
+          Server.Daemon.run config;
+          let bad = resp "bad" in
+          check_str "bad request errors" "error" (str_field "status" bad);
+          (* metrics snapshot: 1 miss, 1 coalesced, 1 hit, 1 error over the
+             three batches *)
+          let metrics = read_json (Filename.concat queue "metrics.json") in
+          let counters = field "counters" metrics in
+          check "one miss" 1 (int_field "server.cache_misses" counters);
+          check "one coalesced" 1 (int_field "server.cache_coalesced" counters);
+          check "one hit" 1 (int_field "server.cache_hits" counters);
+          check "one error" 1 (int_field "server.errors" counters);
+          check "four requests" 4 (int_field "server.requests" counters);
+          (* The flight timeline: each handled request is a server/request
+             span, each answered one a cache-verdict instant. *)
+          let count kind phase =
+            List.length
+              (List.filter
+                 (fun (e : Obs.Events.event) ->
+                   Obs.Events.kind_name e.Obs.Events.ev_kind = kind
+                   && e.Obs.Events.ev_phase = phase)
+                 (Obs.Events.dump ()))
+          in
+          check "two server/request begins" 2 (count "server/request" Obs.Events.Begin);
+          check "two server/request ends" 2 (count "server/request" Obs.Events.End);
+          check "one cache:miss instant" 1 (count "cache:miss" Obs.Events.Instant);
+          check "one cache:coalesced instant" 1
+            (count "cache:coalesced" Obs.Events.Instant);
+          check "one cache:hit instant" 1 (count "cache:hit" Obs.Events.Instant)))
 
 let test_daemon_stdio () =
   with_tmp_dir "stdio" (fun dir ->
