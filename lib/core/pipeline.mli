@@ -47,12 +47,7 @@ type limits = {
           default, so baseline costs stay bit-identical. The CLI's
           [--replicate] flag turns it on. *)
   hc_shards : int;
-      (** shard count for {!Hc.improve}'s propose/merge/apply engine,
-          passed to every HC stage and every multilevel refinement
-          (DESIGN.md Section 5j). [1] (the default) is the sequential
-          path; any other value is bit-identical to it, so this only
-          changes wall-clock, never results. Normally set to the jobs
-          count. *)
+      (** ignored; kept only until the perfbench tool stops reading it *)
 }
 
 val default_limits : limits

@@ -1526,94 +1526,3 @@ let release st =
   Cost_table.clear st.table;
   let pool = Domain.DLS.get pool_key in
   if List.length !pool < max_pooled then pool := st :: !pool
-
-(* ------------------------------------------------------------------ *)
-(* Read-only scan clones (DESIGN.md Section 5j).
-
-   The sharded hill climber evaluates candidate moves on several
-   domains at once against one shared state. The delta entry points
-   only ever mutate the per-evaluation scratch — the assignment,
-   first_need/fn_count/ev_cnt tables, cost table and its cached maxima
-   are read-only until a move is applied — so a clone that shares every
-   base field and owns a private copy of the scratch arrays is
-   race-free as long as exactly one domain uses it at a time and nobody
-   applies moves through it. Clone scratch comes from its own
-   per-domain pool: it must never pass through {!release}, which would
-   clear (and re-pool) the shared cost table. *)
-
-let clone_pool_key : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let clone_for_scan st =
-  let sp = st.num_steps_ * st.p in
-  let steps1 = max st.num_steps_ 1 in
-  let max_in = Array.length st.pred_src in
-  let pool = Domain.DLS.get clone_pool_key in
-  let pooled =
-    match !pool with
-    | [] -> None
-    | o :: rest ->
-      pool := rest;
-      Some o
-  in
-  let gi get len =
-    match pooled with
-    | Some o when Array.length (get o) >= len -> get o
-    | _ -> Array.make (max len 1) 0
-  in
-  let gb get len =
-    match pooled with
-    | Some o when Array.length (get o) >= len -> get o
-    | _ -> Array.make (max len 1) false
-  in
-  {
-    st with
-    d_work = gi (fun o -> o.d_work) sp;
-    d_send = gi (fun o -> o.d_send) sp;
-    d_recv = gi (fun o -> o.d_recv) sp;
-    cell_mark = gb (fun o -> o.cell_mark) sp;
-    touched_cells = gi (fun o -> o.touched_cells) 64;
-    touched_cells_len = 0;
-    touched_steps = gi (fun o -> o.touched_steps) steps1;
-    touched_steps_len = 0;
-    step_touched = gb (fun o -> o.step_touched) steps1;
-    pred_without = gi (fun o -> o.pred_without) max_in;
-    undo_cell = gi (fun o -> o.undo_cell) 16;
-    undo_kind = gi (fun o -> o.undo_kind) 16;
-    undo_amt = gi (fun o -> o.undo_amt) 16;
-    undo_len = 0;
-    ev_q = gi (fun o -> o.ev_q) st.p;
-    ev_ph = gi (fun o -> o.ev_ph) st.p;
-    pred_src = gi (fun o -> o.pred_src) max_in;
-    pred_comm = gi (fun o -> o.pred_comm) max_in;
-    pred_fn_base = gi (fun o -> o.pred_fn_base) max_in;
-    pred_lam =
-      (match pooled with
-      | Some o when Array.length o.pred_lam >= max_in -> o.pred_lam
-      | _ -> Array.make (max max_in 1) [||]);
-    row_node = -1;
-    row_base_delta = 0;
-    row_cnt = 0;
-    row_wv = 0;
-    row_cv = 0;
-    row_npred = 0;
-    base_mark = gb (fun o -> o.base_mark) steps1;
-    base_wm = gi (fun o -> o.base_wm) steps1;
-    base_hm = gi (fun o -> o.base_hm) steps1;
-    base_cost = gi (fun o -> o.base_cost) steps1;
-    col_mark = gb (fun o -> o.col_mark) steps1;
-    col_steps = gi (fun o -> o.col_steps) steps1;
-    col_steps_len = 0;
-    col_wm = gi (fun o -> o.col_wm) steps1;
-    col_hm = gi (fun o -> o.col_hm) steps1;
-    col_neg = gb (fun o -> o.col_neg) steps1;
-  }
-
-let release_clone st =
-  undo_additions st;
-  for k = 0 to st.col_steps_len - 1 do
-    st.col_mark.(st.col_steps.(k)) <- false
-  done;
-  st.col_steps_len <- 0;
-  reset_scratch st;
-  let pool = Domain.DLS.get clone_pool_key in
-  if List.length !pool < max_pooled then pool := st :: !pool

@@ -16,13 +16,13 @@ let default_config =
 (* Project the per-representative assignment onto the current level of
    the coarsening session as a schedule on its quotient DAG, refine with
    HC, and write the result back into the per-representative arrays. *)
-let refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of =
+let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
   let qdag, rep_of_id = Coarsen.quotient session in
   let nq = Dag.n qdag in
   let proc = Array.init nq (fun i -> proc_of.(rep_of_id.(i))) in
   let step = Array.init nq (fun i -> step_of.(rep_of_id.(i))) in
   let sched = Schedule.of_assignment qdag ~proc ~step in
-  let improved, stats = Hc.improve ?budget ~max_moves:refine_moves ~shards machine sched in
+  let improved, stats = Hc.improve ?budget ~max_moves:refine_moves machine sched in
   Obs.Metrics.counter "multilevel.refine_passes" 1;
   Obs.Metrics.counter "multilevel.refine_moves_applied" stats.Hc.moves_applied;
   Array.iteri
@@ -31,7 +31,7 @@ let refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
       step_of.(r) <- improved.Schedule.step.(i))
     rep_of_id
 
-let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_interval
+let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?shards:_ ~refine_interval
     ~refine_moves ~solver ~ratio machine dag =
   let n = Dag.n dag in
   let target = max 2 (int_of_float (ratio *. float_of_int n)) in
@@ -58,7 +58,9 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
       proc_of.(r) <- coarse.Schedule.proc.(i);
       step_of.(r) <- coarse.Schedule.step.(i))
     rep_of_id;
-  (* Uncoarsen in chunks, refining after each chunk. *)
+  (* Uncoarsen in chunks, refining after each chunk. Once the budget is
+     spent HC would apply no move, so the refinement (and its quotient
+     rebuild) is skipped; projection still restores every node. *)
   Obs.Metrics.with_span "uncoarsen" (fun () ->
       let remaining = ref (Coarsen.num_contractions session) in
       while !remaining > 0 do
@@ -71,23 +73,8 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
           | None -> ()
         done;
         remaining := !remaining - chunk;
-        refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
+        match budget with
+        | Some b when Budget.exhausted b -> Obs.Metrics.counter "multilevel.refine_skipped" 1
+        | _ -> refine_level ?budget ~refine_moves session machine ~proc_of ~step_of
       done);
   Schedule.compact (Schedule.of_assignment dag ~proc:proc_of ~step:step_of)
-
-let run ?(config = default_config) ?budget ?shards ~solver machine dag =
-  let candidates =
-    List.map
-      (fun ratio ->
-        run_ratio ?budget ~strategy:config.strategy ?shards
-          ~refine_interval:config.refine_interval ~refine_moves:config.refine_moves
-          ~solver ~ratio machine dag)
-      config.ratios
-  in
-  match candidates with
-  | [] -> invalid_arg "Multilevel.run: no ratios configured"
-  | first :: rest ->
-    List.fold_left
-      (fun best cand ->
-        if Bsp_cost.total machine cand < Bsp_cost.total machine best then cand else best)
-      first rest

@@ -32,21 +32,6 @@ val default_config : config
 (** [ratios = [0.3; 0.15]], [refine_interval = 5], [refine_moves = 100],
     the paper's edge-selection rule. *)
 
-val run :
-  ?config:config ->
-  ?budget:Budget.t ->
-  ?shards:int ->
-  solver:(Machine.t -> Dag.t -> Schedule.t) ->
-  Machine.t ->
-  Dag.t ->
-  Schedule.t
-(** Run the full multilevel pipeline for each configured ratio and
-    return the cheapest resulting schedule (without the final
-    HCcs/ILPcs polish, which the caller owns). [budget] bounds the HC
-    refinement work across all levels. [shards] (default 1) is passed
-    to each refinement's {!Hc.improve} — sharded refinement is
-    bit-identical to sequential, so it never changes the result. *)
-
 val run_ratio :
   ?budget:Budget.t ->
   ?strategy:Coarsen.strategy ->
@@ -58,8 +43,14 @@ val run_ratio :
   Machine.t ->
   Dag.t ->
   Schedule.t
-(** One coarsen-solve-refine pass at a single ratio; exposed for the
-    C15-vs-C30 ablation (Table 13/14 rows) and the coarsening-strategy
-    ablation. [shards] as in {!run}. Coarsening and the
-    uncoarsen/refine loop run under the ["coarsen"] and ["uncoarsen"]
-    spans; the coarse solve nests whatever spans [solver] opens. *)
+(** One coarsen-solve-refine pass at a single ratio. Callers run one
+    per entry of {!default_config}'s [ratios] and keep the cheapest (as
+    [Pipeline.run_multilevel] does); the C15-vs-C30 ablation
+    (Table 13/14 rows) and the coarsening-strategy ablation call it
+    directly. [budget] bounds the HC refinement work across all levels;
+    once it is spent, the remaining refinement rounds are skipped (each
+    counted as [multilevel.refine_skipped]) and uncoarsening only
+    projects. [shards] is ignored; it stays only until the perfbench
+    tool stops passing it. Coarsening and the uncoarsen/refine loop run
+    under the ["coarsen"] and ["uncoarsen"] spans; the coarse solve
+    nests whatever spans [solver] opens. *)

@@ -89,7 +89,10 @@ let prop_bspg_sane_cost =
    proc/step arrays of every initialiser on three fixed seeded instances
    (step budgets only, so the result is deterministic). Any change to
    the order in which these schedulers visit adjacency (float folds,
-   tie-breaks, ILP variable order) shows up as a different fingerprint. *)
+   tie-breaks, ILP variable order) shows up as a different fingerprint.
+   Two rows pin the search on top: HC over BSPg, and one multilevel
+   ratio with BSPg as the coarse solver; their step budgets run out
+   mid-search on some instances, so budget accounting is pinned too. *)
 let golden_instances () =
   let gen seed family =
     Finegrained.generate_sized (Rng.create seed) ~family ~shape:Finegrained.Wide ~target:40
@@ -110,6 +113,11 @@ let golden_algorithms =
     ("bl-est", fun m d -> List_scheduler.schedule List_scheduler.Bl_est m d);
     ( "ilpinit",
       fun m d -> Ilp_schedulers.init ~budget:(Budget.steps 60) ~max_vars:100 ~max_nodes:20 m d );
+    ("bspg+hc", fun m d -> fst (Hc.improve ~budget:(Budget.steps 200) m (Bspg.schedule m d)));
+    ( "multilevel",
+      fun m d ->
+        Multilevel.run_ratio ~budget:(Budget.steps 1500) ~refine_interval:5 ~refine_moves:100
+          ~solver:Bspg.schedule ~ratio:0.3 m d );
   ]
 
 let golden =
@@ -121,6 +129,8 @@ let golden =
     ("spmv/uniform", "etf", 56, "70bdb7ffc092c107");
     ("spmv/uniform", "bl-est", 53, "ac6a500bc1a0ee46");
     ("spmv/uniform", "ilpinit", 160, "a2ac9b87582e47c4");
+    ("spmv/uniform", "bspg+hc", 47, "a1ceb122b6e3b7a7");
+    ("spmv/uniform", "multilevel", 77, "2ec5492b9a3389a5");
     ("exp/numa", "bspg", 95, "50084f3dcb94f586");
     ("exp/numa", "source", 101, "64b7172808e52365");
     ("exp/numa", "cilk", 126, "fa13755b02f5e6e5");
@@ -128,6 +138,8 @@ let golden =
     ("exp/numa", "etf", 101, "b28798094ee564e4");
     ("exp/numa", "bl-est", 92, "bb0597c64b453c84");
     ("exp/numa", "ilpinit", 161, "590c4b9e57097010");
+    ("exp/numa", "bspg+hc", 84, "a2f1f4412d67ea65");
+    ("exp/numa", "multilevel", 79, "efc1b17326f78943");
     ("cg/uniform", "bspg", 143, "13791f9682ca06ca");
     ("cg/uniform", "source", 144, "74e4cd9385e860a2");
     ("cg/uniform", "cilk", 126, "18b439ebeedeb727");
@@ -135,6 +147,8 @@ let golden =
     ("cg/uniform", "etf", 132, "d8f838fd53201307");
     ("cg/uniform", "bl-est", 132, "808d3cf6427a5ca4");
     ("cg/uniform", "ilpinit", 166, "36c7bb8fdd7a07e6");
+    ("cg/uniform", "bspg+hc", 142, "1ac955e2d0cd8e88");
+    ("cg/uniform", "multilevel", 121, "ab68ff36c7d56367");
   ]
 
 let test_golden_initialisers () =

@@ -286,37 +286,6 @@ let prop_hc_final_cost_exact =
       let improved, stats = Hc.improve ~check:true ~max_moves:5 m s in
       Bsp_cost.total m improved = stats.Hc.final_cost)
 
-(* The sharded propose/merge/apply engine must be bit-identical to the
-   sequential worklist at every jobs and shard count: same final cost,
-   same stats block, and the exact same applied-move sequence (captured
-   via on_apply). Both an unbounded run and a budget-capped run are
-   compared — the capped case exercises the early-halt path where the
-   budget runs out mid-window and the rest of the window must stay
-   queued exactly as the sequential engine would leave it. *)
-let prop_sharded_bit_identical =
-  Test_util.qtest ~count:25 "sharded hc bit-identical to sequential" gen3
-    (fun (dag, (m, seed)) ->
-      let rng = Rng.create seed in
-      let s = start_schedule rng dag m.Machine.p in
-      let run ~jobs ~shards ~capped =
-        let moves = ref [] in
-        let budget = if capped then Budget.steps 150 else Budget.unlimited () in
-        let sched, stats =
-          Par.with_jobs jobs (fun () ->
-              Hc.improve ~budget ~shards
-                ~on_apply:(fun v p2 s2 -> moves := (v, p2, s2) :: !moves)
-                m s)
-        in
-        (Bsp_cost.total m sched, stats, List.rev !moves)
-      in
-      List.for_all
-        (fun capped ->
-          let base = run ~jobs:1 ~shards:1 ~capped in
-          List.for_all
-            (fun (jobs, shards) -> run ~jobs ~shards ~capped = base)
-            [ (1, 2); (2, 2); (2, 4); (4, 4) ])
-        [ false; true ])
-
 (* Drive the shared incremental state through random valid move
    sequences: every read-only evaluation path (pairwise, base-cached,
    whole-row) must predict exactly the cost change apply_move then
@@ -476,7 +445,6 @@ let () =
           prop_hc_never_worse_and_valid;
           prop_hccs_never_worse_and_valid;
           prop_hc_final_cost_exact;
-          prop_sharded_bit_identical;
           prop_delta_matches_apply;
           prop_replicate_delta_matches_apply;
           prop_hc_replicate_never_worse;

@@ -64,15 +64,24 @@ let test_owner_tracking () =
   check "all merged to one owner" root (Coarsen.owner session 2);
   check_bool "owner alive" true (Coarsen.alive session root)
 
+(* One run_ratio per configured ratio, as Pipeline.run_multilevel does. *)
+let run_each_ratio ~solver m dag =
+  let c = Multilevel.default_config in
+  List.map
+    (fun ratio ->
+      Multilevel.run_ratio ~strategy:c.Multilevel.strategy
+        ~refine_interval:c.Multilevel.refine_interval ~refine_moves:c.Multilevel.refine_moves
+        ~solver ~ratio m dag)
+    c.Multilevel.ratios
+
 let test_multilevel_run_valid () =
   let rng = Rng.create 19 in
   let dag = Finegrained.exp (Sparse_matrix.random rng ~n:15 ~q:0.15) ~k:3 in
   let m = Machine.numa_tree ~p:4 ~g:2 ~l:5 ~delta:4 in
   let solver mach d = Bspg.schedule mach d in
-  let s = Multilevel.run ~solver m dag in
-  check_bool "valid" true (Validity.is_valid m s);
-  let single = Multilevel.run_ratio ~refine_interval:5 ~refine_moves:100 ~solver ~ratio:0.3 m dag in
-  check_bool "single ratio valid" true (Validity.is_valid m single)
+  List.iter
+    (fun s -> check_bool "valid" true (Validity.is_valid m s))
+    (run_each_ratio ~solver m dag)
 
 let test_multilevel_beats_trivial_on_comm_heavy () =
   (* A wide communication-heavy instance: the multilevel result should
@@ -82,10 +91,35 @@ let test_multilevel_beats_trivial_on_comm_heavy () =
   let dag = Finegrained.exp (Sparse_matrix.random rng ~n:20 ~q:0.15) ~k:3 in
   let m = Machine.numa_tree ~p:8 ~g:2 ~l:5 ~delta:4 in
   let solver mach d = fst (Hc.improve mach (Bspg.schedule mach d)) in
-  let ml = Multilevel.run ~solver m dag in
+  let costs = List.map (Bsp_cost.total m) (run_each_ratio ~solver m dag) in
+  let ml = List.fold_left min max_int costs in
   let trivial = Bsp_cost.total m (Schedule.trivial dag) in
-  check_bool "no worse than 1.2x trivial" true
-    (float_of_int (Bsp_cost.total m ml) <= 1.2 *. float_of_int trivial)
+  check_bool "no worse than 1.2x trivial" true (float_of_int ml <= 1.2 *. float_of_int trivial)
+
+(* A spent budget skips refinement outright: no quotient rebuild, no
+   HC run, one refine_skipped per uncoarsening chunk. The schedule is
+   the one an unbudgeted run with zero refinement moves produces. *)
+let test_spent_budget_skips_refinement () =
+  let rng = Rng.create 23 in
+  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:15 ~q:0.15) ~k:3 in
+  let m = Machine.numa_tree ~p:4 ~g:2 ~l:5 ~delta:4 in
+  let run ?budget ~refine_moves () =
+    Multilevel.run_ratio ?budget ~refine_interval:5 ~refine_moves ~solver:Bspg.schedule
+      ~ratio:0.3 m dag
+  in
+  let r = Obs.Metrics.create () in
+  let spent =
+    Obs.Metrics.with_registry r (fun () -> run ~budget:(Budget.steps 0) ~refine_moves:100 ())
+  in
+  let contractions = Obs.Metrics.counter_value r "multilevel.contractions" in
+  check_bool "did contract" true (contractions > 5);
+  check "refine_passes" 0 (Obs.Metrics.counter_value r "multilevel.refine_passes");
+  check "refine_skipped" ((contractions + 4) / 5)
+    (Obs.Metrics.counter_value r "multilevel.refine_skipped");
+  let unrefined = run ~refine_moves:0 () in
+  Alcotest.(check (array int)) "proc" unrefined.Schedule.proc spent.Schedule.proc;
+  Alcotest.(check (array int)) "step" unrefined.Schedule.step spent.Schedule.step;
+  check "cost" (Bsp_cost.total m unrefined) (Bsp_cost.total m spent)
 
 (* Properties: coarsening preserves acyclicity and total weights at every
    target; undo round-trips. *)
@@ -120,8 +154,7 @@ let prop_multilevel_valid =
     QCheck2.Gen.(pair (Test_util.arb_dag ~max_n:20 ()) (Test_util.arb_machine ~max_p:4 ()))
     (fun (dag, m) ->
       let solver mach d = Bspg.schedule mach d in
-      let s = Multilevel.run ~solver m dag in
-      Validity.is_valid m s)
+      List.for_all (Validity.is_valid m) (run_each_ratio ~solver m dag))
 
 let () =
   Alcotest.run "multilevel"
@@ -138,6 +171,8 @@ let () =
           Alcotest.test_case "run valid" `Quick test_multilevel_run_valid;
           Alcotest.test_case "comm-heavy vs trivial" `Quick
             test_multilevel_beats_trivial_on_comm_heavy;
+          Alcotest.test_case "spent budget skips refinement" `Quick
+            test_spent_budget_skips_refinement;
         ] );
       ( "property",
         [ prop_coarsen_acyclic_and_weights; prop_undo_roundtrip; prop_multilevel_valid ] );
