@@ -8,15 +8,16 @@ type outcome = {
 
 let int_tol = 1e-6
 
+let binary_vars model =
+  let acc = ref [] in
+  for v = Ilp.num_vars model - 1 downto 0 do
+    if Ilp.is_binary model v then acc := v :: !acc
+  done;
+  Array.of_list !acc
+
 let solve ?(budget = Budget.unlimited ()) ?(cutoff = infinity) ?(max_nodes = 20000)
     ?(max_pivots = 1200) model =
-  let nbin_vars =
-    let acc = ref [] in
-    for v = Ilp.num_vars model - 1 downto 0 do
-      if Ilp.is_binary model v then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
+  let nbin_vars = binary_vars model in
   let incumbent = ref None in
   let incumbent_obj = ref cutoff in
   let nodes = ref 0 in
@@ -87,13 +88,7 @@ let solve ?(budget = Budget.unlimited ()) ?(cutoff = infinity) ?(max_nodes = 200
   }
 
 let solve_exhaustive model =
-  let nbin_vars =
-    let acc = ref [] in
-    for v = Ilp.num_vars model - 1 downto 0 do
-      if Ilp.is_binary model v then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
+  let nbin_vars = binary_vars model in
   let k = Array.length nbin_vars in
   if k > 24 then invalid_arg "Branch_bound.solve_exhaustive: too many binaries";
   let incumbent = ref None in

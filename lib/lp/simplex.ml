@@ -12,7 +12,9 @@ let feas_eps = 1e-7
 (* Tableau layout: [m] constraint rows over columns
    [0 .. total_cols - 1] plus the right-hand side in column [total_cols].
    [basis.(i)] is the column basic in row [i]. The objective row is kept
-   separately in [zrow] (reduced costs) with its value in [zval]. *)
+   separately in [zrow] (reduced costs) with its value in [zval]. [nz] is
+   the pivot's scratch list of the pivot row's nonzero columns; it lives
+   in the tableau because LPs run concurrently on several domains. *)
 type tableau = {
   m : int;
   total_cols : int;
@@ -20,20 +22,33 @@ type tableau = {
   basis : int array;
   zrow : float array;
   mutable zval : float;
+  nz : int array;  (* total_cols + 1 entries *)
 }
 
+(* Only the pivot row's nonzero columns change in the other rows, so the
+   elimination visits just those. *)
 let pivot tab ~row ~col =
-  let piv = tab.t.(row).(col) in
   let r = tab.t.(row) in
-  for j = 0 to tab.total_cols do
-    r.(j) <- r.(j) /. piv
+  let piv = r.(col) in
+  let rhs = tab.total_cols in
+  let nz = tab.nz in
+  let k = ref 0 in
+  for j = 0 to rhs do
+    let v = r.(j) in
+    if v <> 0.0 then begin
+      r.(j) <- v /. piv;
+      nz.(!k) <- j;
+      incr k
+    end
   done;
+  let k = !k in
   for i = 0 to tab.m - 1 do
     if i <> row then begin
-      let f = tab.t.(i).(col) in
+      let ri = tab.t.(i) in
+      let f = ri.(col) in
       if Float.abs f > eps then begin
-        let ri = tab.t.(i) in
-        for j = 0 to tab.total_cols do
+        for q = 0 to k - 1 do
+          let j = nz.(q) in
           ri.(j) <- ri.(j) -. (f *. r.(j))
         done;
         ri.(col) <- 0.0
@@ -42,10 +57,11 @@ let pivot tab ~row ~col =
   done;
   let f = tab.zrow.(col) in
   if Float.abs f > eps then begin
-    for j = 0 to tab.total_cols - 1 do
-      tab.zrow.(j) <- tab.zrow.(j) -. (f *. r.(j))
+    for q = 0 to k - 1 do
+      let j = nz.(q) in
+      if j < rhs then tab.zrow.(j) <- tab.zrow.(j) -. (f *. r.(j))
+      else tab.zval <- tab.zval -. (f *. r.(rhs))
     done;
-    tab.zval <- tab.zval -. (f *. r.(tab.total_cols));
     tab.zrow.(col) <- 0.0
   end;
   tab.basis.(row) <- col
@@ -140,7 +156,10 @@ let minimize ?max_pivots ~num_vars ~obj ~rows ~lb ~ub () =
   let row_info =
     Array.map
       (fun (coeffs, sense, b) ->
-        let flip = b < 0.0 in
+        (* A [Ge] row with right-hand side 0 is negated into [Le] so
+           its slack starts basic at 0 instead of needing an artificial:
+           the scheduling models' W and H rows are of this form. *)
+        let flip = b < 0.0 || (sense = Ge && b = 0.0) in
         let sense =
           if not flip then sense
           else match sense with Le -> Ge | Ge -> Le | Eq -> Eq
@@ -183,7 +202,17 @@ let minimize ?max_pivots ~num_vars ~obj ~rows ~lb ~ub () =
          basis.(i) <- a);
       ())
     row_info;
-  let tab = { m; total_cols; t; basis; zrow = Array.make total_cols 0.0; zval = 0.0 } in
+  let tab =
+    {
+      m;
+      total_cols;
+      t;
+      basis;
+      zrow = Array.make total_cols 0.0;
+      zval = 0.0;
+      nz = Array.make (total_cols + 1) 0;
+    }
+  in
   let pivots = ref 0 in
   let max_pivots =
     match max_pivots with Some k -> k | None -> 200 * (m + total_cols) + 2000

@@ -12,7 +12,10 @@
     Internally variables are shifted to [y = x - lb >= 0], upper bounds
     become explicit rows, slack/surplus/artificial variables put the
     system in standard form, phase 1 minimises the artificial sum and
-    phase 2 the original objective. Pivoting uses Dantzig's rule and
+    phase 2 the original objective. A [>=] row with right-hand side 0 is
+    negated into a [<=] row, so it starts on its slack and needs no
+    artificial. Each pivot updates only the pivot row's nonzero columns.
+    Pivoting uses Dantzig's rule and
     falls back to Bland's rule after a run of degenerate pivots, which
     guarantees termination; an overall pivot cap turns pathological
     instances into an explicit {!Iteration_limit} outcome rather than a

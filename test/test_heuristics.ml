@@ -128,7 +128,7 @@ let golden =
     ("spmv/uniform", "hdagg", 45, "280138970bf7b746");
     ("spmv/uniform", "etf", 56, "70bdb7ffc092c107");
     ("spmv/uniform", "bl-est", 53, "ac6a500bc1a0ee46");
-    ("spmv/uniform", "ilpinit", 160, "a2ac9b87582e47c4");
+    ("spmv/uniform", "ilpinit", 151, "78bb8d54403fd4a4");
     ("spmv/uniform", "bspg+hc", 47, "a1ceb122b6e3b7a7");
     ("spmv/uniform", "multilevel", 77, "2ec5492b9a3389a5");
     ("exp/numa", "bspg", 95, "50084f3dcb94f586");
@@ -137,7 +137,7 @@ let golden =
     ("exp/numa", "hdagg", 84, "bd71428acf6c4b87");
     ("exp/numa", "etf", 101, "b28798094ee564e4");
     ("exp/numa", "bl-est", 92, "bb0597c64b453c84");
-    ("exp/numa", "ilpinit", 161, "590c4b9e57097010");
+    ("exp/numa", "ilpinit", 145, "b5c1069e62344cf3");
     ("exp/numa", "bspg+hc", 84, "a2f1f4412d67ea65");
     ("exp/numa", "multilevel", 79, "efc1b17326f78943");
     ("cg/uniform", "bspg", 143, "13791f9682ca06ca");
@@ -146,7 +146,7 @@ let golden =
     ("cg/uniform", "hdagg", 125, "e3e3a09c8cdfea01");
     ("cg/uniform", "etf", 132, "d8f838fd53201307");
     ("cg/uniform", "bl-est", 132, "808d3cf6427a5ca4");
-    ("cg/uniform", "ilpinit", 166, "36c7bb8fdd7a07e6");
+    ("cg/uniform", "ilpinit", 154, "7341f193b75867c7");
     ("cg/uniform", "bspg+hc", 142, "1ac955e2d0cd8e88");
     ("cg/uniform", "multilevel", 121, "ab68ff36c7d56367");
   ]

@@ -123,6 +123,34 @@ let test_interval_respects_boundary () =
        check "optimal boundary processor" 1 q
      | _ -> Alcotest.fail "unexpected extraction shape")
 
+let test_ilpinit_lp_converges () =
+  (* The first ILPinit model of an spmv instance on p = 8: its W and H
+     rows are [>= 0] rows. Started on artificials, phase 1 stalled on
+     degenerate pivots and hit the branch-and-bound pivot cap; started on
+     their slacks, the LP solves well inside it. *)
+  let rng = Rng.create 1 in
+  let dag = Finegrained.spmv (Sparse_matrix.random rng ~n:4 ~q:0.3) in
+  let n = Dag.n dag in
+  let spec =
+    {
+      Ilp_interval.dag;
+      machine = Machine.uniform ~p:8 ~g:3 ~l:5;
+      proc = Array.make n (-1);
+      step = Array.make n (-1);
+      v0 = [ (Dag.topological_order dag).(0) ];
+      s_lo = 0;
+      s_hi = 2;
+    }
+  in
+  let model, _ = Ilp_interval.build spec in
+  check_bool "LP relaxation optimal within 1200 pivots" true
+    (match Ilp.lp_relaxation ~max_pivots:1200 model with
+     | Simplex.Optimal _ -> true
+     | _ -> false);
+  let outcome = Branch_bound.solve ~max_nodes:120 model in
+  check "no LP failures" 0 outcome.Branch_bound.lp_failures;
+  check_bool "proven optimal" true outcome.Branch_bound.proven_optimal
+
 let () =
   Alcotest.run "ilp_interval"
     [
@@ -134,5 +162,6 @@ let () =
             test_full_model_solution_is_schedulable;
           Alcotest.test_case "scope cost" `Quick test_scope_cost_matches_bsp_cost;
           Alcotest.test_case "boundary pricing" `Quick test_interval_respects_boundary;
+          Alcotest.test_case "ilpinit LP converges" `Quick test_ilpinit_lp_converges;
         ] );
     ]

@@ -50,12 +50,19 @@ let test_init_valid () =
   check_bool "all assigned" true (Array.for_all (fun q -> q >= 0) s.Schedule.proc)
 
 let test_init_zero_budget_fallback () =
-  (* With an exhausted budget every batch falls back; the result is the
-     trivial-per-batch schedule, still valid. *)
+  (* With an exhausted budget every batch falls back without building or
+     solving a model; the result is the trivial-per-batch schedule, still
+     valid. *)
   let dag = small_instance 7 in
   let m = small_machine in
-  let s = Ilp_schedulers.init ~budget:(Budget.steps 0) m dag in
-  check_bool "valid" true (Validity.is_valid m s)
+  let r = Obs.Metrics.create () in
+  let s =
+    Obs.Metrics.with_registry r (fun () ->
+        Ilp_schedulers.init ~budget:(Budget.steps 0) m dag)
+  in
+  check_bool "valid" true (Validity.is_valid m s);
+  check "no branch-and-bound solve" 0 (Obs.Metrics.counter_value r "bb.solves");
+  check_bool "every node on proc 0" true (Array.for_all (fun q -> q = 0) s.Schedule.proc)
 
 let test_comm_schedule_monotone () =
   let rng = Rng.create 31 in

@@ -110,17 +110,20 @@ let test_degenerate () =
   check_float "obj" (-1.0) obj
 
 (* Property: on random feasible-by-construction LPs, the simplex result
-   is feasible and no random feasible point beats it. *)
+   is feasible and no random feasible point beats it. The zero right-hand
+   side [Ge] rows [x_i - x_j >= 0] start on their slack rather than on an
+   artificial, so both starting bases are covered. *)
 let prop_simplex_optimality =
   let gen =
     QCheck2.Gen.(
       let* seed = int_bound 1_000_000 in
       let* n = int_range 1 6 in
       let* m = int_range 1 6 in
-      return (seed, n, m))
+      let* k = int_range 0 3 in
+      return (seed, n, m, k))
   in
   Test_util.qtest ~count:200 "simplex optimal vs sampled points" gen
-    (fun (seed, n, m) ->
+    (fun (seed, n, m, k) ->
       let rng = Rng.create seed in
       (* Constraints a . x <= b with a >= 0 and b > 0: the box near the
          origin is feasible and the LP is bounded when c >= 0 is
@@ -134,8 +137,14 @@ let prop_simplex_optimality =
             in
             (coeffs, Simplex.Le, float_of_int (1 + Rng.int rng 20)))
       in
+      let orders =
+        Array.init k (fun _ ->
+            let i = Rng.int rng n in
+            let j = Rng.int rng n in
+            ([ (i, 1.0); (j, -1.0) ], Simplex.Ge, 0.0))
+      in
       let cap = (List.init n (fun j -> (j, 1.0)), Simplex.Le, 10.0) in
-      let rows = Array.append rows [| cap |] in
+      let rows = Array.concat [ rows; orders; [| cap |] ] in
       let obj = List.init n (fun j -> (j, float_of_int (Rng.int rng 9 - 4))) in
       let lb = Array.make n 0.0 and ub = Array.make n infinity in
       match Simplex.minimize ~num_vars:n ~obj ~rows ~lb ~ub () with
@@ -143,9 +152,12 @@ let prop_simplex_optimality =
       | Simplex.Optimal { obj = v; x } ->
         let feasible pt =
           Array.for_all
-            (fun (coeffs, _, b) ->
-              List.fold_left (fun acc (j, c) -> acc +. (c *. pt.(j))) 0.0 coeffs
-              <= b +. 1e-6)
+            (fun (coeffs, sense, b) ->
+              let lhs = List.fold_left (fun acc (j, c) -> acc +. (c *. pt.(j))) 0.0 coeffs in
+              match sense with
+              | Simplex.Le -> lhs <= b +. 1e-6
+              | Simplex.Ge -> lhs >= b -. 1e-6
+              | Simplex.Eq -> Float.abs (lhs -. b) <= 1e-6)
             rows
           && Array.for_all (fun xi -> xi >= -1e-9) pt
         in
